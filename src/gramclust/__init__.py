@@ -9,7 +9,7 @@ from .data import (
     read_feature_csv,
     standardize_columns,
 )
-from .hierarchy import ClusterAssignment, Dendrogram, cut_tree, ward_dendrogram
+from .hierarchy import ClusterAssignment, Dendrogram, cut_tree
 from .metrics import ContingencyTable, ami, contingency, expected_mutual_info
 from .mixture import FitResult, MixtureParams, cem_fit, component_density_log, estep, mstep
 from .select import ClusterOutput, bic, cluster_features, num_params
@@ -43,7 +43,6 @@ __all__ = [
     "ClusterAssignment",
     "Dendrogram",
     "cut_tree",
-    "ward_dendrogram",
     "ContingencyTable",
     "ami",
     "contingency",

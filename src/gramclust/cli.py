@@ -94,7 +94,10 @@ def _resolve(flag_value, env_name: str, default, cast):
 def _threads_cast(raw) -> int:
     if raw == "auto":
         return os.cpu_count() or 1
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise ConfigError(f"threads must be an integer or 'auto', got {raw!r}") from exc
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:

@@ -7,6 +7,7 @@ G = X X^T / P computed from a column-standardized N x P feature matrix X.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -205,51 +206,49 @@ def read_feature_csv(path, delimiter: str = ",") -> FeatureCsv:
     The header row is detected by attempting to parse the first row as
     numbers. A header column named ``label`` (case-insensitive) is
     extracted as ground truth and excluded from the features. Ragged rows
-    raise DataError with the offending 1-based line number.
+    raise DataError with the offending 1-based line number. Rows are
+    parsed to float64 arrays as they are read.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        rows = [(lineno, row) for lineno, row in enumerate(reader, start=1) if row]
-    if not rows:
-        raise DataError("empty file")
+        rows = (
+            (lineno, row)
+            for lineno, row in enumerate(csv.reader(fh, delimiter=delimiter), start=1)
+            if row
+        )
+        first_line, first_row = next(rows, (None, None))
+        if first_row is None:
+            raise DataError("empty file")
 
-    first = [t.strip() for t in rows[0][1]]
-    has_header = not _looks_numeric(first)
-    names = first if has_header else None
-    data_rows = rows[1:] if has_header else rows
-    if not data_rows:
-        raise DataError("no data rows", line=rows[0][0])
+        first = [t.strip() for t in first_row]
+        names = None if _looks_numeric(first) else first
+        if names is None:
+            rows = itertools.chain([(first_line, first_row)], rows)
+        label_idx = next(
+            (i for i, name in enumerate(names or ()) if name.lower() == "label"), None
+        )
 
-    label_idx = None
-    if names is not None:
-        for i, name in enumerate(names):
-            if name.lower() == "label":
-                label_idx = i
-                break
-
-    width = len(rows[0][1])
-    values = []
-    labels = [] if label_idx is not None else None
-    for lineno, row in data_rows:
-        if len(row) != width:
-            raise DataError(
-                f"expected {width} fields, got {len(row)}", line=lineno
-            )
-        try:
-            parsed = [
-                float(tok) for i, tok in enumerate(row) if i != label_idx
-            ]
-        except ValueError as exc:
-            raise DataError(f"non-numeric value ({exc})", line=lineno) from exc
-        values.append(parsed)
-        if labels is not None:
-            labels.append(row[label_idx].strip())
+        width = len(first_row)
+        values = []
+        labels = [] if label_idx is not None else None
+        for lineno, row in rows:
+            if len(row) != width:
+                raise DataError(
+                    f"expected {width} fields, got {len(row)}", line=lineno
+                )
+            if labels is not None:
+                labels.append(row.pop(label_idx).strip())
+            try:
+                values.append(np.fromiter(map(float, row), np.float64, len(row)))
+            except ValueError as exc:
+                raise DataError(f"non-numeric value ({exc})", line=lineno) from exc
+    if not values:
+        raise DataError("no data rows", line=first_line)
 
     feature_names = None
     if names is not None:
         feature_names = [n for i, n in enumerate(names) if i != label_idx]
     return FeatureCsv(
-        matrix=FeatureMatrix(np.asarray(values, dtype=np.float64)),
+        matrix=FeatureMatrix(np.vstack(values)),
         truth_labels=labels,
         feature_names=feature_names,
     )

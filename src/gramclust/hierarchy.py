@@ -1,21 +1,17 @@
 """Agglomerative Ward clustering used to initialize the mixture fits.
 
 Rows of the transformed Gram matrix are points in R^{N+1}; the merge cost
-is the increase in total within-cluster sum of squares, maintained with
-the Lance-Williams recurrence. Ties are broken deterministically.
+is the increase in total within-cluster sum of squares. Ties are broken
+deterministically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import KOutOfRangeError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .transform import MMatrix
 
 # Relative slack for the monotone-merge-cost invariant (Ward is reducible,
 # so violations can only come from floating-point noise).
@@ -111,71 +107,22 @@ class Dendrogram:
 def ward_linkage(points) -> Dendrogram:
     """Agglomerative Ward tree over the rows of ``points``.
 
-    Merge cost is the within-cluster sum-of-squares increase, computed via
-    the Lance-Williams recurrence on pairwise costs ||x-y||^2/2 between
-    singletons. Among equal-cost merges the pair whose clusters have the
-    lexicographically smallest (min representative, max representative)
-    wins, where a cluster's representative is its smallest original index.
-    The O(N^3) scan is fine in the target regime (N at most a few hundred).
+    Merge cost is the within-cluster sum-of-squares increase, d^2/2 for
+    scipy's Ward distance d (nearest-neighbour chain: O(N^2) time and
+    memory). Exact ties merge in scipy's order, which is deterministic
+    for a given row order.
     """
+    # Imported here, not at module level: scipy.cluster would add about
+    # 0.1-0.2 s and 12 MB to `import gramclust.cli` (2-core VM), which the
+    # eval and simulate commands never need.
+    from scipy.cluster.hierarchy import linkage
+
     x = np.asarray(points, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("need a 2-D array with at least 2 rows")
-    n = x.shape[0]
-    total = 2 * n - 1
-
-    diff = x[:, None, :] - x[None, :, :]
-    cost = np.full((total, total), np.inf)
-    cost[:n, :n] = (diff * diff).sum(axis=-1) / 2.0
-    np.fill_diagonal(cost[:n, :n], np.inf)
-
-    size = np.zeros(total, dtype=np.int64)
-    size[:n] = 1
-    rep = np.arange(total, dtype=np.int64)
-
-    active = list(range(n))
-    merges = np.empty((n - 1, 4), dtype=np.float64)
-    for t in range(n - 1):
-        ids = np.asarray(active)
-        sub = cost[np.ix_(ids, ids)]
-        best = sub.min()
-        cands = np.argwhere(sub == best)
-        pair = None
-        pair_key = None
-        for pi, pj in cands:
-            if pi >= pj:
-                continue
-            a, b = int(ids[pi]), int(ids[pj])
-            key = (min(rep[a], rep[b]), max(rep[a], rep[b]))
-            if pair_key is None or key < pair_key:
-                pair_key = key
-                pair = (a, b)
-        a, b = pair
-        if rep[b] < rep[a]:
-            a, b = b, a
-
-        new = n + t
-        others = np.asarray([c for c in active if c != a and c != b], dtype=np.int64)
-        if others.size:
-            sk = size[others].astype(np.float64)
-            sa, sb = float(size[a]), float(size[b])
-            merged = ((sa + sk) * cost[a, others] + (sb + sk) * cost[b, others]
-                      - sk * best) / (sa + sb + sk)
-            cost[new, others] = merged
-            cost[others, new] = merged
-        size[new] = size[a] + size[b]
-        rep[new] = min(rep[a], rep[b])
-        merges[t] = (a, b, best, size[new])
-        active.remove(a)
-        active.remove(b)
-        active.append(new)
-
-    return Dendrogram(merges=merges, n_points=n)
-
-
-def ward_dendrogram(m: "MMatrix") -> Dendrogram:
-    """Ward tree over the rows of a transformed Gram matrix."""
-    return ward_linkage(m.values)
+    z = linkage(x, method="ward")
+    z[:, 2] = z[:, 2] ** 2 / 2.0
+    return Dendrogram(merges=z, n_points=x.shape[0])
 
 
 def cut_tree(d: Dendrogram, k: int) -> ClusterAssignment:

@@ -54,6 +54,18 @@ class AugmentedGram:
         return self.values.shape[0]
 
 
+def _offdiag_column_means(block: np.ndarray) -> np.ndarray:
+    """Mean of each column of a square block over its off-diagonal rows.
+
+    Row r of the contiguous (m, m-1) array holds column r minus its
+    diagonal entry, in row order, so each row sum is bit-identical to the
+    1-D masked column sum.
+    """
+    m = block.shape[0]
+    off = block.T.reshape(-1)[1:].reshape(m - 1, m + 1)[:, :-1].reshape(m, m - 1)
+    return off.sum(axis=1) / (m - 1)
+
+
 def augment_values(g: np.ndarray) -> np.ndarray:
     """Array kernel for the initial variant.
 
@@ -62,15 +74,8 @@ def augment_values(g: np.ndarray) -> np.ndarray:
     inputs are symmetric, making row and column readings identical).
     """
     g = np.asarray(g, dtype=np.float64)
-    n = g.shape[0]
-    diag = np.diag(g).copy()
-    m = np.concatenate([g, diag[:, None]], axis=1)
-    # masked sums keep this bit-identical to the cluster-aware kernel when
-    # every object shares one cluster
-    for i in range(n):
-        mask = np.ones(n, dtype=bool)
-        mask[i] = False
-        m[i, i] = g[mask, i].sum() / (n - 1)
+    m = np.concatenate([g, np.diag(g)[:, None]], axis=1)
+    np.fill_diagonal(m, _offdiag_column_means(g))
     return m
 
 
@@ -84,13 +89,13 @@ def cluster_augment_values(g: np.ndarray, labels: np.ndarray) -> np.ndarray:
     g = np.asarray(g, dtype=np.float64)
     lab = np.asarray(labels, dtype=np.int64)
     n = g.shape[0]
-    m = augment_values(g)
-    for i in range(n):
-        same = (lab == lab[i])
-        same[i] = False
-        cnt = int(same.sum())
-        if cnt > 0:
-            m[i, i] = g[same, i].sum() / cnt
+    m = np.concatenate([g, np.diag(g)[:, None]], axis=1)
+    _, inverse, counts = np.unique(lab, return_inverse=True, return_counts=True)
+    for c in np.flatnonzero(counts > 1):
+        idx = np.flatnonzero(inverse == c)
+        m[idx, idx] = _offdiag_column_means(g[np.ix_(idx, idx)])
+    for i in np.flatnonzero(counts[inverse] == 1):
+        m[i, i] = np.delete(g[:, i], i).sum() / (n - 1)
     return m
 
 

@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +24,17 @@ def write_feature_csv(path, x, labels=None):
         else:
             for row in x:
                 w.writerow([repr(float(v)) for v in row])
+
+
+def test_import_does_not_load_scipy_cluster():
+    # the Ward tree imports scipy.cluster on first use; eval and simulate
+    # never need it
+    import gramclust
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gramclust.__file__)))
+    code = "import sys, gramclust.cli; sys.exit('scipy.cluster' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +87,15 @@ class TestCluster:
         rc = main(["cluster", fixture_csv, "--output-dir", str(tmp_path / "o"),
                    "--kmax", "0"])
         assert rc == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_bad_threads_exit_2(self, fixture_csv, tmp_path, capsys, monkeypatch):
+        rc = main(["cluster", fixture_csv, "--output-dir", str(tmp_path / "o"),
+                   "--threads", "foo"])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+        monkeypatch.setenv("GRAMCLUST_THREADS", "foo")
+        assert main(["cluster", fixture_csv, "--output-dir", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
 
     def test_roundtrip_eval_of_assignments(self, fixture_csv, tmp_path, capsys):

@@ -157,12 +157,19 @@ class TestGram:
 class TestReadFeatureCsv:
     def test_with_header_and_label(self, tmp_path):
         path = tmp_path / "d.csv"
-        path.write_text("f1,f2,label\n1.0,2.0,a\n3.0,4.0,b\n5.0,6.0,a\n")
-        parsed = read_feature_csv(path)
-        assert parsed.matrix.n_objects == 3
-        assert parsed.matrix.n_features == 2
-        assert parsed.truth_labels == ["a", "b", "a"]
-        assert parsed.feature_names == ["f1", "f2"]
+        cases = [
+            ("f1,f2,label\n1.0,2.0,a\n3.0,4.0,b\n5.0,6.0,a\n", ["a", "b", "a"]),
+            # a quoted label may contain the delimiter
+            ('f1,label,f2\n1.0,"a,b",2.0\n3.0,c,4.0\n5.0,a,6.0\n', ["a,b", "c", "a"]),
+        ]
+        for text, truth in cases:
+            path.write_text(text)
+            parsed = read_feature_csv(path)
+            assert parsed.matrix.n_objects == 3
+            assert parsed.matrix.n_features == 2
+            assert parsed.truth_labels == truth
+            assert parsed.feature_names == ["f1", "f2"]
+            np.testing.assert_array_equal(parsed.matrix.values, [[1, 2], [3, 4], [5, 6]])
 
     def test_headerless(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -173,17 +180,23 @@ class TestReadFeatureCsv:
 
     def test_ragged_row_reports_line(self, tmp_path):
         path = tmp_path / "d.csv"
-        path.write_text("1,2\n3,4,5\n6,7\n")
-        with pytest.raises(DataError) as exc:
-            read_feature_csv(path)
-        assert exc.value.line == 2
+        # a blank line counts towards the line number
+        for text, line in [("1,2\n3,4,5\n6,7\n", 2), ("1,2\n\n3,4,5\n", 3)]:
+            path.write_text(text)
+            with pytest.raises(DataError) as exc:
+                read_feature_csv(path)
+            assert exc.value.line == line
 
     def test_non_numeric_value_reports_line(self, tmp_path):
         path = tmp_path / "d.csv"
-        path.write_text("f1,f2\n1,2\n3,oops\n")
-        with pytest.raises(DataError) as exc:
-            read_feature_csv(path)
-        assert exc.value.line == 3
+        for text, line in [
+            ("f1,f2\n1,2\n3,oops\n", 3),
+            ("label,f1,f2\na,1,2\nb,3,4\na,x,6\n", 4),
+        ]:
+            path.write_text(text)
+            with pytest.raises(DataError) as exc:
+                read_feature_csv(path)
+            assert exc.value.line == line
 
     def test_custom_delimiter(self, tmp_path):
         path = tmp_path / "d.csv"

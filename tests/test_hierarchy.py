@@ -63,7 +63,7 @@ class TestWardLinkage:
     def test_four_point_example(self):
         pts = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 10.0], [10.0, 11.0]])
         d = ward_linkage(pts)
-        # both tight pairs cost 0.5; representative order breaks the tie
+        # both tight pairs cost 0.5; the tie merges in scipy's order
         assert {int(d.merges[0][0]), int(d.merges[0][1])} == {0, 1}
         assert d.merges[0][2] == pytest.approx(0.5)
         assert {int(d.merges[1][0]), int(d.merges[1][1])} == {2, 3}
@@ -77,19 +77,23 @@ class TestWardLinkage:
 
     def test_lance_williams_matches_direct_ssq(self):
         rng = np.random.default_rng(42)
-        for _ in range(10):
-            n = int(rng.integers(4, 21))
-            pts = rng.normal(size=(n, int(rng.integers(2, 6))))
+        cases = [
+            rng.normal(size=(int(rng.integers(4, 21)), int(rng.integers(2, 6))))
+            for _ in range(10)
+        ]
+        cases.append(rng.normal(size=(150, 6)))
+        for pts in cases:
             d = ward_linkage(pts)
             direct = replay_with_direct_costs(pts, d)
             np.testing.assert_allclose(d.merges[:, 2], direct, rtol=1e-9, atol=1e-9)
 
     def test_costs_nondecreasing(self):
         rng = np.random.default_rng(7)
-        pts = rng.normal(size=(25, 4))
-        d = ward_linkage(pts)
-        costs = d.merges[:, 2]
-        assert np.all(np.diff(costs) >= -1e-9 * np.maximum(1.0, costs[:-1]))
+        for n in (25, 150):
+            pts = rng.normal(size=(n, 4))
+            d = ward_linkage(pts)
+            costs = d.merges[:, 2]
+            assert np.all(np.diff(costs) >= -1e-9 * np.maximum(1.0, costs[:-1]))
 
 
 class TestCutTree:

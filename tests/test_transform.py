@@ -28,6 +28,57 @@ def symmetric_sentinels(n=4):
     return g
 
 
+def reference_augment(g):
+    """Per-object oracle for augment_values: one masked column sum per slot."""
+    n = g.shape[0]
+    m = np.concatenate([g, np.diag(g)[:, None]], axis=1)
+    for i in range(n):
+        mask = np.ones(n, dtype=bool)
+        mask[i] = False
+        m[i, i] = g[mask, i].sum() / (n - 1)
+    return m
+
+
+def reference_cluster_augment(g, labels):
+    """Per-object oracle for cluster_augment_values; singletons keep the
+    full off-diagonal column mean."""
+    m = reference_augment(g)
+    for i in range(g.shape[0]):
+        same = labels == labels[i]
+        same[i] = False
+        cnt = int(same.sum())
+        if cnt > 0:
+            m[i, i] = g[same, i].sum() / cnt
+    return m
+
+
+class TestKernelOracle:
+    def test_kernels_match_per_object_loops(self):
+        rng = np.random.default_rng(11)
+        cases = []
+        for n in [2, 400, *rng.integers(3, 400, size=30).tolist()]:
+            k = int(rng.integers(1, n + 1))
+            cases.append((rng.normal(size=(n, n)), rng.integers(1, k + 1, size=n)))
+        for n in (3, 17, 250):  # few clusters plus two singletons
+            labels = rng.integers(1, 4, size=n)
+            labels[:2] = [8, 9]
+            cases.append((rng.normal(size=(n, n)), labels))
+        for n in (2, 9, 300):  # all singletons
+            cases.append((rng.normal(size=(n, n)), rng.permutation(n) + 1))
+        for n in (2, 5, 40):
+            # asymmetric sentinels g[i][j] = 1000(i+1) + (j+1) pin the
+            # column reading
+            i, j = np.indices((n, n))
+            g = 1000.0 * (i + 1) + (j + 1)
+            cases.append((g, np.ones(n, dtype=np.int64)))
+            cases.append((g, rng.integers(1, max(2, n // 3), size=n)))
+        for g, labels in cases:
+            assert np.array_equal(augment_values(g), reference_augment(g))
+            assert np.array_equal(
+                cluster_augment_values(g, labels), reference_cluster_augment(g, labels)
+            )
+
+
 class TestAugment:
     def test_four_by_four_pattern(self):
         g = symmetric_sentinels()
