@@ -20,7 +20,6 @@ from . import __version__
 from .data import read_feature_csv
 from .errors import ConfigError, DataError, GramClustError, ObjectIdMismatchError
 from .metrics import NORM_MAX, NORM_MEAN, ami
-from .mixture import MODEL_DIAGONAL, MODEL_FULL_RIDGE
 from .select import (
     DEFAULT_KMAX,
     DEFAULT_MAX_ITER,
@@ -33,7 +32,6 @@ from .synth import SimulationPlan, build_spec, concentration_sweep, expectation_
 
 _ENV_PREFIX = "GRAMCLUST_"
 
-_COV_MODELS = (MODEL_DIAGONAL, MODEL_FULL_RIDGE)
 _PREPROCESS_MODES = (PREPROCESS_NONE, PREPROCESS_STANDARDIZE, PREPROCESS_PAPER)
 _AMI_NORMS = (NORM_MEAN, NORM_MAX)
 
@@ -44,12 +42,9 @@ class RunConfig:
 
     kmax: int = DEFAULT_KMAX
     max_iter: int = DEFAULT_MAX_ITER
-    cov_model: str = MODEL_DIAGONAL
-    ridge: float = 1e-6
     preprocess: str = PREPROCESS_PAPER
     ami_norm: str = NORM_MEAN
-    seed: int = 0
-    threads: int = 1
+    threads: int = 1  # the CLI resolves an unset value to "auto" (all cores)
     delimiter: str = ","
     output_dir: str = "."
 
@@ -58,10 +53,6 @@ class RunConfig:
             raise ConfigError("kmax must be >= 1")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be >= 1")
-        if self.ridge < 0:
-            raise ConfigError("ridge must be >= 0")
-        if self.cov_model not in _COV_MODELS:
-            raise ConfigError(f"cov_model must be one of {_COV_MODELS}")
         if self.preprocess not in _PREPROCESS_MODES:
             raise ConfigError(f"preprocess must be one of {_PREPROCESS_MODES}")
         if self.ami_norm not in _AMI_NORMS:
@@ -104,11 +95,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(
         kmax=_resolve(args.kmax, "KMAX", DEFAULT_KMAX, int),
         max_iter=_resolve(args.max_iter, "MAX_ITER", DEFAULT_MAX_ITER, int),
-        cov_model=_resolve(args.cov_model, "COV_MODEL", MODEL_DIAGONAL, str),
-        ridge=_resolve(args.ridge, "RIDGE", 1e-6, float),
         preprocess=_resolve(args.preprocess, "PREPROCESS", PREPROCESS_PAPER, str),
         ami_norm=_resolve(args.ami_norm, "AMI_NORM", NORM_MEAN, str),
-        seed=_resolve(args.seed, "SEED", 0, int),
         threads=_threads_cast(_resolve(args.threads, "THREADS", "auto", str)),
         delimiter=_resolve(args.delimiter, "DELIMITER", ",", str),
         output_dir=_resolve(getattr(args, "output_dir", None), "OUTPUT_DIR", ".", str),
@@ -135,8 +123,6 @@ def cmd_cluster(input_path: str, config: RunConfig) -> int:
         fm,
         kmax=config.kmax,
         max_iter=config.max_iter,
-        cov_model=config.cov_model,
-        ridge_rel=config.ridge,
         preprocess=config.preprocess,
         threads=config.threads,
     )
@@ -294,13 +280,9 @@ def cmd_simulate(plan_path: str, config: RunConfig) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--kmax", type=int, default=None)
     parser.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-    parser.add_argument("--cov-model", dest="cov_model", choices=_COV_MODELS,
-                        default=None)
-    parser.add_argument("--ridge", type=float, default=None)
     parser.add_argument("--preprocess", choices=_PREPROCESS_MODES, default=None)
     parser.add_argument("--ami-norm", dest="ami_norm", choices=_AMI_NORMS,
                         default=None)
-    parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--threads", default=None,
                         help="worker threads for the K sweep, or 'auto'")
     parser.add_argument("--delimiter", default=None)

@@ -34,7 +34,7 @@ class EmptyClusterError(GramClustError):
 
 
 class SingularCovarianceError(GramClustError):
-    """Covariance log-determinant is not finite after floor/ridge."""
+    """Covariance log-determinant is not finite after the variance floor."""
 
 
 class LengthMismatchError(GramClustError):

@@ -80,18 +80,6 @@ def _entropy_sorted(counts: np.ndarray, n: int) -> float:
     return float(-(p * np.log(p)).sum())
 
 
-def mutual_information(table: ContingencyTable) -> float:
-    """MI = H(U) + H(V) - H(U, V), natural log.
-
-    Computing MI through entropies over sorted counts makes MI(u, u)
-    equal H(u) bit-exactly, hence ami(u, u) == 1.0 exactly.
-    """
-    hu = _entropy_sorted(table.row_marginals(), table.n)
-    hv = _entropy_sorted(table.col_marginals(), table.n)
-    hj = _entropy_sorted(table.counts, table.n)
-    return hu + hv - hj
-
-
 def expected_mutual_info(row_marginals, col_marginals, n: int) -> float:
     """Exact E[MI] under the fixed-marginals permutation model.
 
@@ -142,6 +130,8 @@ def ami(u, v, normalization: str = NORM_MEAN) -> float:
     if ua.n_objects < 2:
         raise ValueError("need at least 2 objects")
     table = contingency(ua, va)
+    # Entropies over sorted counts make MI(u, u) equal H(u) bit-exactly,
+    # hence ami(u, u) == 1.0 exactly.
     hu = _entropy_sorted(table.row_marginals(), table.n)
     hv = _entropy_sorted(table.col_marginals(), table.n)
     mi = (hu + hv) - _entropy_sorted(table.counts, table.n)

@@ -21,35 +21,28 @@ from .errors import EmptyClusterError, SingularCovarianceError
 from .hierarchy import ClusterAssignment, canonicalize_labels
 from .transform import AugmentedGram, augment_with_clusters
 
-MODEL_DIAGONAL = "diagonal"
-MODEL_FULL_RIDGE = "full_ridge"
-
 VARIANCE_FLOOR = 1e-8
-RIDGE_MIN = 1e-8
-RIDGE_REL_DEFAULT = 1e-6
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
 class MixtureParams:
-    """Weights, means and covariances of a K-component Gaussian mixture.
+    """Weights, means and diagonal covariances of a K-component Gaussian
+    mixture.
 
-    ``covariances`` is (K, D) of per-coordinate variances for the diagonal
-    model, or (K, D, D) ridged matrices for the full model. ``floored``
+    ``covariances`` is (K, D) of per-coordinate variances. ``floored``
     flags components whose raw scatter hit the variance floor in some
-    coordinate (zero total scatter for the full model): their density is
-    floor-determined rather than data-determined, so a fit whose final
-    parameters carry the flag is scored as degenerate. Pair clusters
-    always trip it on a cluster-aware matrix because the rebuilt diagonal
-    slot of each member duplicates the other member's entry exactly.
+    coordinate: their density is floor-determined rather than
+    data-determined, so a fit whose final parameters carry the flag is
+    scored as degenerate. Pair clusters always trip it on a cluster-aware
+    matrix because the rebuilt diagonal slot of each member duplicates the
+    other member's entry exactly.
     """
 
     weights: np.ndarray
     means: np.ndarray
     covariances: np.ndarray
-    model: str = MODEL_DIAGONAL
-    ridge: Optional[np.ndarray] = None
     floored: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -61,22 +54,10 @@ class MixtureParams:
             raise ValueError("weights must be a K-vector")
         if np.min(w) < 0 or abs(w.sum() - 1.0) >= 1e-12:
             raise ValueError("weights must be nonnegative and sum to 1")
-        if self.model == MODEL_DIAGONAL:
-            if cov.shape != (k, d):
-                raise ValueError("diagonal covariances must be (K, D)")
-            if np.min(cov) < VARIANCE_FLOOR:
-                raise ValueError("diagonal variance below the floor")
-        elif self.model == MODEL_FULL_RIDGE:
-            if cov.shape != (k, d, d):
-                raise ValueError("full covariances must be (K, D, D)")
-            ridge = np.asarray(self.ridge, dtype=np.float64)
-            for j in range(k):
-                if np.max(np.abs(cov[j] - cov[j].T)) > 1e-10:
-                    raise ValueError("covariance not symmetric")
-                if np.linalg.eigvalsh(cov[j])[0] < ridge[j] - 1e-12:
-                    raise ValueError("covariance smallest eigenvalue below ridge")
-        else:
-            raise ValueError(f"unknown covariance model {self.model!r}")
+        if cov.shape != (k, d):
+            raise ValueError("diagonal covariances must be (K, D)")
+        if np.min(cov) < VARIANCE_FLOOR:
+            raise ValueError("diagonal variance below the floor")
         for name, arr in (("weights", w), ("means", mu), ("covariances", cov)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -115,63 +96,35 @@ class FitResult:
             raise ValueError("degenerate fits must carry bic = -inf")
 
 
-def component_density_log(row, mean, cov, model: str = MODEL_DIAGONAL) -> float:
-    """log of the Gaussian density at ``row`` with normalizing dimension
-    D = len(row), computed in log space."""
+def component_density_log(row, mean, cov) -> float:
+    """log of the diagonal Gaussian density at ``row`` with normalizing
+    dimension D = len(row), computed in log space."""
     x = np.asarray(row, dtype=np.float64)
     mu = np.asarray(mean, dtype=np.float64)
     d = x.shape[0]
     diff = x - mu
-    if model == MODEL_DIAGONAL:
-        v = np.asarray(cov, dtype=np.float64)
-        if np.min(v) <= 0:
-            raise SingularCovarianceError("nonpositive diagonal variance")
-        logdet = float(np.log(v).sum())
-        if not math.isfinite(logdet):
-            raise SingularCovarianceError("diagonal log-determinant not finite")
-        quad = float((diff * diff / v).sum())
-    elif model == MODEL_FULL_RIDGE:
-        c = np.asarray(cov, dtype=np.float64)
-        try:
-            chol = np.linalg.cholesky(c)
-        except np.linalg.LinAlgError as exc:
-            raise SingularCovarianceError("covariance not positive definite") from exc
-        logdet = 2.0 * float(np.log(np.diag(chol)).sum())
-        if not math.isfinite(logdet):
-            raise SingularCovarianceError("log-determinant not finite")
-        sol = np.linalg.solve(chol, diff)
-        quad = float((sol * sol).sum())
-    else:
-        raise ValueError(f"unknown covariance model {model!r}")
+    v = np.asarray(cov, dtype=np.float64)
+    if np.min(v) <= 0:
+        raise SingularCovarianceError("nonpositive diagonal variance")
+    logdet = float(np.log(v).sum())
+    if not math.isfinite(logdet):
+        raise SingularCovarianceError("diagonal log-determinant not finite")
+    quad = float((diff * diff / v).sum())
     return -0.5 * (d * _LOG_2PI + logdet + quad)
 
 
 def _log_density_matrix(x: np.ndarray, params: MixtureParams) -> np.ndarray:
     """(N, K) matrix of per-component log densities."""
-    n, d = x.shape
-    if params.model == MODEL_DIAGONAL:
-        v = params.covariances
-        logdet = np.log(v).sum(axis=1)
-        diff = x[None, :, :] - params.means[:, None, :]
-        quad = (diff * diff / v[:, None, :]).sum(axis=-1)
-        out = -0.5 * (d * _LOG_2PI + logdet[:, None] + quad)
-        return out.T
-    out = np.empty((n, params.k))
-    for j in range(params.k):
-        chol = np.linalg.cholesky(params.covariances[j])
-        logdet = 2.0 * np.log(np.diag(chol)).sum()
-        sol = np.linalg.solve(chol, (x - params.means[j]).T)
-        out[:, j] = -0.5 * (d * _LOG_2PI + logdet + (sol * sol).sum(axis=0))
-    return out
+    d = x.shape[1]
+    v = params.covariances
+    logdet = np.log(v).sum(axis=1)
+    diff = x[None, :, :] - params.means[:, None, :]
+    quad = (diff * diff / v[:, None, :]).sum(axis=-1)
+    out = -0.5 * (d * _LOG_2PI + logdet[:, None] + quad)
+    return out.T
 
 
-def _mstep_arrays(
-    x: np.ndarray,
-    labels: np.ndarray,
-    k: int,
-    model: str,
-    ridge_rel: float,
-) -> MixtureParams:
+def _mstep_arrays(x: np.ndarray, labels: np.ndarray, k: int) -> MixtureParams:
     n, d = x.shape
     sizes = np.bincount(labels, minlength=k + 1)[1:]
     if (sizes == 0).any():
@@ -179,43 +132,21 @@ def _mstep_arrays(
         raise EmptyClusterError(f"cluster {empty} is empty")
     weights = sizes / n
     means = np.empty((k, d))
+    cov = np.empty((k, d))
     floored = np.zeros(k, dtype=bool)
-    if model == MODEL_DIAGONAL:
-        cov = np.empty((k, d))
-        for j in range(k):
-            rows = x[labels == j + 1]
-            means[j] = rows.mean(axis=0)
-            raw = ((rows - means[j]) ** 2).mean(axis=0)
-            floored[j] = bool((raw < VARIANCE_FLOOR).any())
-            cov[j] = np.maximum(raw, VARIANCE_FLOOR)
-        return MixtureParams(weights, means, cov, model=model, floored=floored)
-    if model == MODEL_FULL_RIDGE:
-        cov = np.empty((k, d, d))
-        ridge = np.empty(k)
-        for j in range(k):
-            rows = x[labels == j + 1]
-            means[j] = rows.mean(axis=0)
-            diff = rows - means[j]
-            scatter = diff.T @ diff / rows.shape[0]
-            tr = float(np.trace(scatter))
-            ridge[j] = max(ridge_rel * tr / d, RIDGE_MIN)
-            floored[j] = tr <= d * VARIANCE_FLOOR
-            cov[j] = scatter + ridge[j] * np.eye(d)
-        return MixtureParams(
-            weights, means, cov, model=model, ridge=ridge, floored=floored
-        )
-    raise ValueError(f"unknown covariance model {model!r}")
+    for j in range(k):
+        rows = x[labels == j + 1]
+        means[j] = rows.mean(axis=0)
+        raw = ((rows - means[j]) ** 2).mean(axis=0)
+        floored[j] = bool((raw < VARIANCE_FLOOR).any())
+        cov[j] = np.maximum(raw, VARIANCE_FLOOR)
+    return MixtureParams(weights, means, cov, floored=floored)
 
 
-def mstep(
-    m: AugmentedGram,
-    labels: ClusterAssignment,
-    model: str = MODEL_DIAGONAL,
-    ridge_rel: float = RIDGE_REL_DEFAULT,
-) -> MixtureParams:
-    """Hard M-step: weights n_k/N, within-cluster means and covariances
-    (denominator n_k); diagonal variances are floored at 1e-8."""
-    return _mstep_arrays(m.values, labels.labels, labels.k, model, ridge_rel)
+def mstep(m: AugmentedGram, labels: ClusterAssignment) -> MixtureParams:
+    """Hard M-step: weights n_k/N, within-cluster means and diagonal
+    variances (denominator n_k), floored at 1e-8."""
+    return _mstep_arrays(m.values, labels.labels, labels.k)
 
 
 def _estep_arrays(x: np.ndarray, params: MixtureParams) -> np.ndarray:
@@ -270,7 +201,6 @@ def _reorder_to_canonical(
         weights=params.weights[order],
         means=params.means[order],
         covariances=params.covariances[order],
-        ridge=None if params.ridge is None else params.ridge[order],
         floored=None if params.floored is None else params.floored[order],
     )
     return assignment, params
@@ -282,8 +212,6 @@ def cem_fit(
     k: int,
     init: ClusterAssignment,
     max_iter: int = 100,
-    model: str = MODEL_DIAGONAL,
-    ridge_rel: float = RIDGE_REL_DEFAULT,
 ) -> FitResult:
     """Run classification EM at a fixed K and score the result.
 
@@ -309,7 +237,7 @@ def cem_fit(
     iterations = 0
     converged = False
     for _ in range(max_iter):
-        params = _mstep_arrays(x, labels, k, model, ridge_rel)
+        params = _mstep_arrays(x, labels, k)
         iterations += 1
         if params.floored is not None and params.floored.any():
             floor_events += 1
@@ -332,7 +260,7 @@ def cem_fit(
         labels = new
 
     aug_c = augment_with_clusters(g, ClusterAssignment(labels, k))
-    final_params = _mstep_arrays(aug_c.values, labels, k, model, ridge_rel)
+    final_params = _mstep_arrays(aug_c.values, labels, k)
     loglik = mixture_loglik(aug_c.values, final_params)
     collapsed = bool(final_params.floored is not None and final_params.floored.any())
     assignment, final_params = _reorder_to_canonical(labels, final_params)

@@ -18,7 +18,7 @@ import numpy as np
 from .data import FeatureMatrix, gram, preprocess_dataset, standardize_columns
 from .errors import AllFitsDegenerateError
 from .hierarchy import ClusterAssignment, cut_tree, ward_linkage
-from .mixture import MODEL_DIAGONAL, MODEL_FULL_RIDGE, RIDGE_REL_DEFAULT, FitResult, cem_fit
+from .mixture import FitResult, cem_fit
 from .transform import augment
 
 PREPROCESS_NONE = "none"
@@ -29,17 +29,13 @@ DEFAULT_KMAX = 20
 DEFAULT_MAX_ITER = 100
 
 
-def num_params(k: int, n: int, model: str = MODEL_DIAGONAL) -> int:
+def num_params(k: int, n: int) -> int:
     """Free parameters of a K-component mixture over rows in R^(n+1):
-    K-1 weights, K means, and K diagonal vectors or full matrices."""
+    K-1 weights, K means and K diagonal variance vectors."""
     if k < 1 or n < 2:
         raise ValueError("need k >= 1 and n >= 2")
     d = n + 1
-    if model == MODEL_DIAGONAL:
-        return (k - 1) + k * d + k * d
-    if model == MODEL_FULL_RIDGE:
-        return (k - 1) + k * d + k * d * (d + 1) // 2
-    raise ValueError(f"unknown covariance model {model!r}")
+    return (k - 1) + k * d + k * d
 
 
 def bic(loglik: float, nu: int, n: int) -> float:
@@ -93,8 +89,6 @@ def cluster_features(
     x: FeatureMatrix,
     kmax: int = DEFAULT_KMAX,
     max_iter: int = DEFAULT_MAX_ITER,
-    cov_model: str = MODEL_DIAGONAL,
-    ridge_rel: float = RIDGE_REL_DEFAULT,
     preprocess: str = PREPROCESS_PAPER,
     threads: int = 1,
 ) -> ClusterOutput:
@@ -136,10 +130,9 @@ def cluster_features(
             init = ClusterAssignment(np.ones(n, dtype=np.int64), 1)
         else:
             init = cut_tree(dendrogram, k)
-        fit = cem_fit(g, m, k, init, max_iter=max_iter, model=cov_model,
-                      ridge_rel=ridge_rel)
+        fit = cem_fit(g, m, k, init, max_iter=max_iter)
         if not fit.degenerate:
-            fit = replace(fit, bic=bic(fit.loglik, num_params(k, n, cov_model), n))
+            fit = replace(fit, bic=bic(fit.loglik, num_params(k, n), n))
         return fit, time.perf_counter() - t
 
     ks = list(range(1, kmax + 1))

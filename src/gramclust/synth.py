@@ -22,8 +22,6 @@ from .data import FeatureMatrix, gram_values
 from .hierarchy import ClusterAssignment
 from .transform import cluster_augment_values, expected_rows
 
-DIST_GAUSSIAN = "gaussian"
-
 _REJECTION_CAP = 10_000
 
 
@@ -40,7 +38,6 @@ class MixtureSpec:
     weights: np.ndarray
     means: np.ndarray
     variances: np.ndarray
-    distribution: str = DIST_GAUSSIAN
     seed: int = 0
 
     def __post_init__(self):
@@ -49,8 +46,6 @@ class MixtureSpec:
         var = np.atleast_2d(np.asarray(self.variances, dtype=np.float64)).copy()
         if self.k0 < 1:
             raise ValueError("k0 must be positive")
-        if self.distribution != DIST_GAUSSIAN:
-            raise ValueError(f"unsupported distribution {self.distribution!r}")
         if w.shape != (self.k0,):
             raise ValueError("weights must have length k0")
         if w.min() < 0 or abs(w.sum() - 1.0) >= 1e-12:

@@ -294,7 +294,7 @@ def test_c9_determinism(tmp_path):
     digests = []
     for name in ("a", "b"):
         out = tmp_path / name
-        rc = cli_main(["cluster", str(src), "--output-dir", str(out), "--seed", "9"])
+        rc = cli_main(["cluster", str(src), "--output-dir", str(out)])
         assert rc == 0
         assignments = (out / "assignments.csv").read_bytes()
         doc = json.loads((out / "result.json").read_text())

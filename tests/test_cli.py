@@ -98,6 +98,15 @@ class TestCluster:
         assert main(["cluster", fixture_csv, "--output-dir", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag", [["--cov-model", "diagonal"], ["--ridge", "1e-6"], ["--seed", "5"]]
+    )
+    def test_removed_flag_rejected(self, fixture_csv, tmp_path, flag):
+        # the diagonal model is the only one, and nothing reads a seed
+        with pytest.raises(SystemExit) as exc:
+            main(["cluster", fixture_csv, "--output-dir", str(tmp_path / "o"), *flag])
+        assert exc.value.code == 2
+
     def test_roundtrip_eval_of_assignments(self, fixture_csv, tmp_path, capsys):
         out = tmp_path / "out"
         main(["cluster", fixture_csv, "--output-dir", str(out)])
@@ -108,8 +117,8 @@ class TestCluster:
 
     def test_byte_identical_reruns(self, fixture_csv, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        main(["cluster", fixture_csv, "--output-dir", str(out1), "--seed", "5"])
-        main(["cluster", fixture_csv, "--output-dir", str(out2), "--seed", "5"])
+        main(["cluster", fixture_csv, "--output-dir", str(out1)])
+        main(["cluster", fixture_csv, "--output-dir", str(out2)])
         assert (out1 / "assignments.csv").read_bytes() == (out2 / "assignments.csv").read_bytes()
         r1 = json.loads((out1 / "result.json").read_text())
         r2 = json.loads((out2 / "result.json").read_text())

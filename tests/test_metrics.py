@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from gramclust import ami, contingency, expected_mutual_info
 from gramclust.errors import LengthMismatchError
-from gramclust.metrics import mutual_information
 
 # ---------------------------------------------------------------------------
 # Independent oracle: average MI over every permutation of one labeling.
@@ -85,11 +84,6 @@ class TestContingency:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
             contingency([1, 2], [1, 2, 3])
-
-    def test_mi_of_identical_equals_entropy(self):
-        t = contingency([1, 1, 2, 3], [1, 1, 2, 3])
-        p = np.array([2, 1, 1]) / 4
-        assert mutual_information(t) == pytest.approx(-(p * np.log(p)).sum())
 
 
 class TestExpectedMI:

@@ -20,7 +20,6 @@ from gramclust import FeatureMatrix, ami, augment, gen_mixture
 from gramclust.errors import EmptyClusterError
 from gramclust.hierarchy import cut_tree, ward_linkage
 from gramclust.mixture import (
-    MODEL_FULL_RIDGE,
     VARIANCE_FLOOR,
     MixtureParams,
     _estep_arrays,
@@ -58,15 +57,6 @@ class TestDensity:
         val = component_density_log(row, mean, cov)
         assert val == pytest.approx(-5.787839846583308, abs=1e-12)
 
-    def test_full_matches_diagonal(self):
-        rng = np.random.default_rng(0)
-        mean = rng.normal(size=4)
-        row = rng.normal(size=4)
-        v = rng.uniform(0.5, 2.0, size=4)
-        a = component_density_log(row, mean, v)
-        b = component_density_log(row, mean, np.diag(v), model=MODEL_FULL_RIDGE)
-        assert a == pytest.approx(b, rel=1e-12)
-
 
 class TestMstep:
     def test_single_cluster(self):
@@ -82,14 +72,14 @@ class TestMstep:
     def test_identical_rows_hit_floor(self):
         row = np.array([1.0, -2.0, 3.0])
         x = np.vstack([row, row, row + 5.0, row + 5.0])
-        params = _mstep_arrays(x, np.array([1, 1, 2, 2]), 2, "diagonal", 1e-6)
+        params = _mstep_arrays(x, np.array([1, 1, 2, 2]), 2)
         assert np.all(params.covariances == VARIANCE_FLOOR)
         np.testing.assert_array_equal(params.means[0], row)
         assert params.floored.all()
 
     def test_two_row_cluster(self):
         x = np.array([[0.0, 0.0], [2.0, 0.0], [9.0, 9.0]])
-        params = _mstep_arrays(x, np.array([1, 1, 2]), 2, "diagonal", 1e-6)
+        params = _mstep_arrays(x, np.array([1, 1, 2]), 2)
         np.testing.assert_allclose(params.means[0], [1.0, 0.0])
         # population denominator n_k: ((0-1)^2 + (2-1)^2)/2 = 1
         assert params.covariances[0][0] == pytest.approx(1.0)
@@ -100,16 +90,6 @@ class TestMstep:
         m = make_m(np.random.default_rng(2).normal(size=(4, 5)))
         with pytest.raises(EmptyClusterError):
             mstep(m, ClusterAssignment(np.array([1, 1, 1, 1]), 2))
-
-    def test_full_ridge_psd(self):
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(8, 4))
-        params = _mstep_arrays(
-            x, np.array([1, 1, 1, 1, 2, 2, 2, 2]), 2, MODEL_FULL_RIDGE, 1e-6
-        )
-        for j in range(2):
-            eigs = np.linalg.eigvalsh(params.covariances[j])
-            assert eigs[0] >= params.ridge[j] - 1e-12
 
 
 class TestEstep:
@@ -240,7 +220,7 @@ class TestCemFit:
         labels = init.labels.copy()
         prev = None
         for _ in range(60):
-            params = _mstep_arrays(m.values, labels, 3, "diagonal", 1e-6)
+            params = _mstep_arrays(m.values, labels, 3)
             after_m = classification_loglik(m.values, params, labels)
             if prev is not None and not params.floored.any():
                 assert after_m >= prev - 1e-9

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from gramclust import ClusterAssignment, ami, bic, gen_mixture, cluster_features, num_params
-from gramclust.mixture import MODEL_FULL_RIDGE
 from gramclust.select import ClusterOutput, KFitRecord
 from tests.conftest import two_cluster_spec
 
@@ -15,9 +14,6 @@ class TestNumParams:
 
     def test_diagonal_k2(self):
         assert num_params(2, 4) == 21
-
-    def test_full_ridge_k2(self):
-        assert num_params(2, 4, MODEL_FULL_RIDGE) == 41
 
 
 class TestBic:
@@ -131,14 +127,6 @@ class TestGmcluster:
         fm, truth = gen_mixture(spec, 24)
         positive = FeatureMatrix(np.exp(fm.values / 3.0))
         out = cluster_features(positive, kmax=8, preprocess="paper")
-        assert out.k_hat == 2
-        assert ami(truth, out.labels) == 1.0
-
-    def test_full_ridge_pipeline(self):
-        spec = two_cluster_spec(6.0, 1500, seed=16)
-        fm, truth = gen_mixture(spec, 30)
-        out = cluster_features(fm, kmax=10, preprocess="standardize",
-                               cov_model=MODEL_FULL_RIDGE)
         assert out.k_hat == 2
         assert ami(truth, out.labels) == 1.0
 
