@@ -23,7 +23,6 @@ from .metrics import NORM_MAX, NORM_MEAN, ami
 from .select import (
     DEFAULT_KMAX,
     DEFAULT_MAX_ITER,
-    PREPROCESS_NONE,
     PREPROCESS_PAPER,
     PREPROCESS_STANDARDIZE,
     cluster_features,
@@ -32,7 +31,7 @@ from .synth import SimulationPlan, build_spec, concentration_sweep, expectation_
 
 _ENV_PREFIX = "GRAMCLUST_"
 
-_PREPROCESS_MODES = (PREPROCESS_NONE, PREPROCESS_STANDARDIZE, PREPROCESS_PAPER)
+_PREPROCESS_MODES = (PREPROCESS_STANDARDIZE, PREPROCESS_PAPER)
 _AMI_NORMS = (NORM_MEAN, NORM_MAX)
 
 

@@ -96,10 +96,9 @@ class Dendrogram:
         costs = m[:, 2]
         if costs.size and np.min(costs) < 0:
             raise ValueError("negative merge cost")
-        for i in range(costs.size - 1):
-            tol = _MONOTONE_RTOL * max(1.0, abs(costs[i]))
-            if costs[i + 1] < costs[i] - tol:
-                raise ValueError("merge costs are not nondecreasing")
+        tol = _MONOTONE_RTOL * np.maximum(1.0, np.abs(costs[:-1]))
+        if (costs[1:] < costs[:-1] - tol).any():
+            raise ValueError("merge costs are not nondecreasing")
         m.setflags(write=False)
         object.__setattr__(self, "merges", m)
 

@@ -25,6 +25,12 @@ VARIANCE_FLOOR = 1e-8
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
+# Cap on one (block, N, D) difference tensor in _log_joint (2 MB). Small
+# fits take one pass: a block per component costs about 12 ms more per K
+# sweep at N = 60 on the 2-thread pool (2-core VM). Large fits never build
+# the full (K, N, D) tensor, 77 MB at N = 400, K = 20.
+_BLOCK_DOUBLES = 1 << 18
+
 
 @dataclass(frozen=True)
 class MixtureParams:
@@ -113,18 +119,25 @@ def component_density_log(row, mean, cov) -> float:
     return -0.5 * (d * _LOG_2PI + logdet + quad)
 
 
-def _log_density_matrix(x: np.ndarray, params: MixtureParams) -> np.ndarray:
-    """(N, K) matrix of per-component log densities."""
-    d = x.shape[1]
+def _log_joint(x: np.ndarray, params: MixtureParams) -> np.ndarray:
+    """(N, K) matrix of log w_k plus each component's log density,
+    scored in blocks of at most _BLOCK_DOUBLES difference values."""
+    n, d = x.shape
     v = params.covariances
+    step = max(1, _BLOCK_DOUBLES // (n * d))
+    quad = np.empty((params.k, n))
+    for lo in range(0, params.k, step):
+        block = slice(lo, lo + step)
+        diff = x[None, :, :] - params.means[block, None, :]
+        quad[block] = (diff * diff / v[block, None, :]).sum(axis=-1)
     logdet = np.log(v).sum(axis=1)
-    diff = x[None, :, :] - params.means[:, None, :]
-    quad = (diff * diff / v[:, None, :]).sum(axis=-1)
-    out = -0.5 * (d * _LOG_2PI + logdet[:, None] + quad)
-    return out.T
+    return np.log(params.weights) - 0.5 * (d * _LOG_2PI + logdet[:, None] + quad).T
 
 
-def _mstep_arrays(x: np.ndarray, labels: np.ndarray, k: int) -> MixtureParams:
+def mstep(x: np.ndarray, labels: np.ndarray, k: int) -> MixtureParams:
+    """Hard M-step on the rows of ``x`` for labels in 1..k: weights n_k/N,
+    within-cluster means and diagonal variances (denominator n_k), floored
+    at 1e-8."""
     n, d = x.shape
     sizes = np.bincount(labels, minlength=k + 1)[1:]
     if (sizes == 0).any():
@@ -143,25 +156,14 @@ def _mstep_arrays(x: np.ndarray, labels: np.ndarray, k: int) -> MixtureParams:
     return MixtureParams(weights, means, cov, floored=floored)
 
 
-def mstep(m: AugmentedGram, labels: ClusterAssignment) -> MixtureParams:
-    """Hard M-step: weights n_k/N, within-cluster means and diagonal
-    variances (denominator n_k), floored at 1e-8."""
-    return _mstep_arrays(m.values, labels.labels, labels.k)
-
-
-def _estep_arrays(x: np.ndarray, params: MixtureParams) -> np.ndarray:
-    scores = np.log(params.weights)[None, :] + _log_density_matrix(x, params)
-    return np.argmax(scores, axis=1).astype(np.int64) + 1
-
-
-def estep(m: AugmentedGram, params: MixtureParams) -> ClusterAssignment:
-    """Hard E-step: assign each row to the argmax component.
+def estep(x: np.ndarray, params: MixtureParams) -> np.ndarray:
+    """Hard E-step: label each row of ``x`` with its argmax component.
 
     Ties go to the smallest component index. Labels keep the component
     indexing of ``params`` (canonicalization happens once, at the end of
     cem_fit); a component may come back empty.
     """
-    return ClusterAssignment(_estep_arrays(m.values, params), params.k)
+    return np.argmax(_log_joint(x, params), axis=1).astype(np.int64) + 1
 
 
 def classification_loglik(
@@ -169,18 +171,15 @@ def classification_loglik(
 ) -> float:
     """Sum of log w_k + log-density of each row under its assigned
     component (the quantity each CEM sweep cannot decrease, floor aside)."""
-    dens = _log_density_matrix(np.asarray(x, dtype=np.float64), params)
+    joint = _log_joint(np.asarray(x, dtype=np.float64), params)
     idx = np.asarray(labels, dtype=np.int64) - 1
-    rows = np.arange(dens.shape[0])
-    return float((np.log(params.weights)[idx] + dens[rows, idx]).sum())
+    return float(joint[np.arange(joint.shape[0]), idx].sum())
 
 
 def mixture_loglik(x: np.ndarray, params: MixtureParams) -> float:
     """Full mixture quasi log-likelihood via log-sum-exp."""
-    scores = np.log(params.weights)[None, :] + _log_density_matrix(
-        np.asarray(x, dtype=np.float64), params
-    )
-    return float(logsumexp(scores, axis=1).sum())
+    joint = _log_joint(np.asarray(x, dtype=np.float64), params)
+    return float(logsumexp(joint, axis=1).sum())
 
 
 def _reorder_to_canonical(
@@ -188,13 +187,8 @@ def _reorder_to_canonical(
 ) -> tuple[ClusterAssignment, MixtureParams]:
     """Canonicalize labels and permute components to match."""
     canon, k = canonicalize_labels(raw_labels)
-    order = []
-    seen = set()
-    for v in raw_labels.tolist():
-        if v not in seen:
-            seen.add(v)
-            order.append(v - 1)
-    order = np.asarray(order, dtype=np.int64)
+    order = np.empty(k, dtype=np.int64)
+    order[canon - 1] = raw_labels - 1
     assignment = ClusterAssignment(canon, k)
     params = replace(
         params,
@@ -237,11 +231,11 @@ def cem_fit(
     iterations = 0
     converged = False
     for _ in range(max_iter):
-        params = _mstep_arrays(x, labels, k)
+        params = mstep(x, labels, k)
         iterations += 1
         if params.floored is not None and params.floored.any():
             floor_events += 1
-        new = _estep_arrays(x, params)
+        new = estep(x, params)
         if (np.bincount(new, minlength=k + 1)[1:] == 0).any():
             assignment, params = _reorder_to_canonical(labels, params)
             return FitResult(
@@ -260,7 +254,7 @@ def cem_fit(
         labels = new
 
     aug_c = augment_with_clusters(g, ClusterAssignment(labels, k))
-    final_params = _mstep_arrays(aug_c.values, labels, k)
+    final_params = mstep(aug_c.values, labels, k)
     loglik = mixture_loglik(aug_c.values, final_params)
     collapsed = bool(final_params.floored is not None and final_params.floored.any())
     assignment, final_params = _reorder_to_canonical(labels, final_params)

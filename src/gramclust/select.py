@@ -21,7 +21,6 @@ from .hierarchy import ClusterAssignment, cut_tree, ward_linkage
 from .mixture import FitResult, cem_fit
 from .transform import augment
 
-PREPROCESS_NONE = "none"
 PREPROCESS_STANDARDIZE = "standardize"
 PREPROCESS_PAPER = "paper"
 
@@ -76,7 +75,7 @@ class ClusterOutput:
 
 
 def _prepare(x: FeatureMatrix, preprocess: str) -> FeatureMatrix:
-    if preprocess not in (PREPROCESS_NONE, PREPROCESS_STANDARDIZE, PREPROCESS_PAPER):
+    if preprocess not in (PREPROCESS_STANDARDIZE, PREPROCESS_PAPER):
         raise ValueError(f"unknown preprocess mode {preprocess!r}")
     if x.standardized:
         return x
@@ -95,7 +94,7 @@ def cluster_features(
     """Cluster the rows of a feature matrix, estimating K by BIC.
 
     Pipeline: (optional preprocessing +) standardization, Gram matrix and
-    its initial augmentation, then for K = 1..kmax a Ward-tree cut
+    its one-cluster augmentation, then for K = 1..kmax a Ward-tree cut
     initializes classification EM (K = 1 needs neither). Per-K fits are
     independent and may run on ``threads`` workers; the sweep result is
     deterministic regardless of execution order. ``kmax`` is clamped to N

@@ -64,16 +64,14 @@ class MixtureSpec:
 
 
 def stream(seed) -> np.random.Generator:
-    """Counter-based generator so draws are independent of stream order."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    """Counter-based generator keyed on an int or a SeedSequence, so draws
+    are independent of stream order."""
+    return np.random.Generator(np.random.Philox(seed))
 
 
-def replicate_streams(seed, count: int) -> list:
-    """Independent per-replicate substreams of one root seed."""
-    return [
-        np.random.Generator(np.random.Philox(child))
-        for child in np.random.SeedSequence(seed).spawn(count)
-    ]
+def replicate_streams(root: np.random.SeedSequence, count: int) -> list:
+    """Independent per-replicate substreams spawned from ``root``."""
+    return [stream(child) for child in root.spawn(count)]
 
 
 def gen_mixture(
@@ -202,7 +200,7 @@ def empirical_concentration(
     if reps < 30:
         raise ValueError("need reps >= 30")
     if rngs is None:
-        rngs = replicate_streams(spec.seed, reps)
+        rngs = replicate_streams(np.random.SeedSequence(spec.seed), reps)
     sq = np.empty(reps)
     row_sq = np.empty((reps, n))
     for r in range(reps):
@@ -260,17 +258,12 @@ def expectation_check(
     root = np.random.SeedSequence(spec.seed)
     label_seq, rep_root = root.spawn(2)
     if labels is None:
-        lab = _draw_labels_min_size(
-            spec, n, np.random.Generator(np.random.Philox(label_seq)), 2
-        )
+        lab = _draw_labels_min_size(spec, n, stream(label_seq), 2)
     else:
         lab = np.asarray(labels, dtype=np.int64)
     truth = ClusterAssignment(lab, spec.k0)
     expectations = expected_rows(spec, truth)
-    rngs = [
-        np.random.Generator(np.random.Philox(child))
-        for child in rep_root.spawn(reps)
-    ]
+    rngs = replicate_streams(rep_root, reps)
 
     aug_acc = np.zeros((reps, n, n + 1))
     gram_acc = np.zeros((reps, n, n))
@@ -382,10 +375,7 @@ def concentration_sweep(plan: SimulationPlan) -> ConcentrationReport:
     points = []
     for idx, p in enumerate(plan.p_grid):
         spec = build_spec(plan, p)
-        rngs = [
-            np.random.Generator(np.random.Philox(c))
-            for c in children[idx].spawn(plan.reps)
-        ]
+        rngs = replicate_streams(children[idx], plan.reps)
         points.append(empirical_concentration(spec, plan.n, plan.reps, rngs=rngs))
     xs = [math.log(pt.p) for pt in points if pt.mse_mean > 0]
     ys = [math.log(pt.mse_mean) for pt in points if pt.mse_mean > 0]

@@ -1,16 +1,17 @@
 """Augmented forms of the Gram matrix and their expected structure.
 
 G's diagonal is appended as an extra column and each vacated slot (i,i) is
-filled with a column average: over all other rows for the initial variant,
-or restricted to same-cluster rows for the cluster-aware variant. Rows of
-the cluster-aware matrix then share their expectation whenever the objects
-share a cluster, which is what makes mixture fitting on the rows sound.
+filled with the average of column i over the other members of object i's
+cluster. Rows then share their expectation whenever the objects share a
+cluster, which is what makes mixture fitting on the rows sound. The matrix
+that seeds the K sweep is the same transform under the one-cluster
+partition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -21,31 +22,22 @@ from .hierarchy import ClusterAssignment
 if TYPE_CHECKING:  # pragma: no cover
     from .synth import MixtureSpec
 
-VARIANT_INITIAL = "initial"
-VARIANT_CLUSTER_AWARE = "cluster_aware"
-
 
 @dataclass(frozen=True)
 class AugmentedGram:
     """N x (N+1) rearrangement of a Gram matrix.
 
     Column N+1 holds the diagonal of the source G exactly; slot (i,i)
-    holds a column-i average whose scope depends on the variant.
+    holds the average of column i over object i's cluster-mates.
     """
 
     values: np.ndarray
-    variant: str
-    labels: Optional[ClusterAssignment] = None
 
     def __post_init__(self):
         a = np.asarray(self.values, dtype=np.float64).copy()
         n = a.shape[0]
         if a.ndim != 2 or a.shape[1] != n + 1:
             raise ValueError(f"augmented matrix must be N x (N+1), got {a.shape}")
-        if self.variant not in (VARIANT_INITIAL, VARIANT_CLUSTER_AWARE):
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.variant == VARIANT_CLUSTER_AWARE and self.labels is None:
-            raise ValueError("cluster-aware variant requires labels")
         a.setflags(write=False)
         object.__setattr__(self, "values", a)
 
@@ -54,37 +46,14 @@ class AugmentedGram:
         return self.values.shape[0]
 
 
-def _offdiag_column_means(block: np.ndarray) -> np.ndarray:
-    """Mean of each column of a square block over its off-diagonal rows.
-
-    Row r of the contiguous (m, m-1) array holds column r minus its
-    diagonal entry, in row order, so each row sum is bit-identical to the
-    1-D masked column sum.
-    """
-    m = block.shape[0]
-    off = block.T.reshape(-1)[1:].reshape(m - 1, m + 1)[:, :-1].reshape(m, m - 1)
-    return off.sum(axis=1) / (m - 1)
-
-
-def augment_values(g: np.ndarray) -> np.ndarray:
-    """Array kernel for the initial variant.
-
-    Slot (i,i) becomes the mean of column i over rows j != i (the column
-    direction matters only for asymmetric test sentinels; GramMatrix
-    inputs are symmetric, making row and column readings identical).
-    """
-    g = np.asarray(g, dtype=np.float64)
-    m = np.concatenate([g, np.diag(g)[:, None]], axis=1)
-    np.fill_diagonal(m, _offdiag_column_means(g))
-    return m
-
-
 def cluster_augment_values(g: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Array kernel for the cluster-aware variant.
+    """Array kernel of the transform.
 
-    Slot (i,i) becomes the mean of g[j,i] over j != i with the same label;
-    a singleton falls back to the full off-diagonal column mean so the
-    operation stays total during the K sweep.
+    Slot (i,i) becomes the mean of g[j,i] over j != i with the same label
+    (the column direction matters only for asymmetric test sentinels;
+    GramMatrix inputs are symmetric, making row and column readings
+    identical). A singleton falls back to the full off-diagonal column
+    mean so the operation stays total during the K sweep.
     """
     g = np.asarray(g, dtype=np.float64)
     lab = np.asarray(labels, dtype=np.int64)
@@ -93,27 +62,31 @@ def cluster_augment_values(g: np.ndarray, labels: np.ndarray) -> np.ndarray:
     _, inverse, counts = np.unique(lab, return_inverse=True, return_counts=True)
     for c in np.flatnonzero(counts > 1):
         idx = np.flatnonzero(inverse == c)
-        m[idx, idx] = _offdiag_column_means(g[np.ix_(idx, idx)])
+        s = idx.size
+        # Row r of this contiguous (s, s-1) array holds column r of the
+        # cluster block minus its diagonal entry, in row order, so each row
+        # sum is bit-identical to the 1-D masked column sum.
+        off = g[np.ix_(idx, idx)].T.reshape(-1)[1:].reshape(s - 1, s + 1)[:, :-1]
+        m[idx, idx] = off.reshape(s, s - 1).sum(axis=1) / (s - 1)
     for i in np.flatnonzero(counts[inverse] == 1):
         m[i, i] = np.delete(g[:, i], i).sum() / (n - 1)
     return m
 
 
-def augment(g: GramMatrix) -> AugmentedGram:
-    """Initial variant: diagonal appended, slots = off-diagonal means."""
-    return AugmentedGram(augment_values(g.values), variant=VARIANT_INITIAL)
-
-
 def augment_with_clusters(g: GramMatrix, labels: ClusterAssignment) -> AugmentedGram:
-    """Cluster-aware variant for a given assignment."""
+    """The transform of ``g`` under a given assignment."""
     if labels.n_objects != g.n_objects:
         raise DimensionMismatchError(
             f"labels length {labels.n_objects} != N={g.n_objects}"
         )
-    return AugmentedGram(
-        cluster_augment_values(g.values, labels.labels),
-        variant=VARIANT_CLUSTER_AWARE,
-        labels=labels,
+    return AugmentedGram(cluster_augment_values(g.values, labels.labels))
+
+
+def augment(g: GramMatrix) -> AugmentedGram:
+    """The transform under the one-cluster partition: each slot is the
+    off-diagonal mean of its column."""
+    return augment_with_clusters(
+        g, ClusterAssignment(np.ones(g.n_objects, dtype=np.int64), 1)
     )
 
 

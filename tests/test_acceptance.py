@@ -18,7 +18,7 @@ import gramclust as gc
 from gramclust.cli import main as cli_main
 from gramclust.hierarchy import ClusterAssignment
 from gramclust.synth import SimulationPlan, concentration_sweep
-from gramclust.transform import augment_values, cluster_augment_values
+from gramclust.transform import cluster_augment_values
 from tests.conftest import two_cluster_spec
 from tests.test_metrics import all_partitions, emi_bruteforce
 
@@ -79,7 +79,8 @@ def test_c1_transform_patterns():
     ga = np.array([[float(10 * (i + 1) + (j + 1)) for j in range(4)]
                    for i in range(4)])
     np.testing.assert_array_equal(
-        augment_values(ga)[0], [(21 + 31 + 41) / 3, 12, 13, 14, 11]
+        cluster_augment_values(ga, np.ones(4, dtype=np.int64))[0],
+        [(21 + 31 + 41) / 3, 12, 13, 14, 11],
     )
     slots = cluster_augment_values(ga, np.array([1, 1, 2, 2]))
     np.testing.assert_array_equal(

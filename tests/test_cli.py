@@ -99,10 +99,17 @@ class TestCluster:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flag", [["--cov-model", "diagonal"], ["--ridge", "1e-6"], ["--seed", "5"]]
+        "flag",
+        [
+            ["--cov-model", "diagonal"],
+            ["--ridge", "1e-6"],
+            ["--seed", "5"],
+            ["--preprocess", "none"],
+        ],
     )
     def test_removed_flag_rejected(self, fixture_csv, tmp_path, flag):
-        # the diagonal model is the only one, and nothing reads a seed
+        # the diagonal model is the only one, nothing reads a seed, and
+        # preprocess=none ran the same steps as standardize
         with pytest.raises(SystemExit) as exc:
             main(["cluster", fixture_csv, "--output-dir", str(tmp_path / "o"), *flag])
         assert exc.value.code == 2

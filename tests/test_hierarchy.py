@@ -6,6 +6,7 @@ import pytest
 from gramclust.errors import KOutOfRangeError
 from gramclust.hierarchy import (
     ClusterAssignment,
+    Dendrogram,
     canonicalize_labels,
     cut_tree,
     ward_linkage,
@@ -94,6 +95,18 @@ class TestWardLinkage:
             d = ward_linkage(pts)
             costs = d.merges[:, 2]
             assert np.all(np.diff(costs) >= -1e-9 * np.maximum(1.0, costs[:-1]))
+
+    def test_monotone_cost_check(self):
+        def tree(costs):
+            merges = [[0, 1, costs[0], 2], [2, 3, costs[1], 2], [4, 5, costs[2], 4]]
+            return Dendrogram(merges=np.array(merges, dtype=float), n_points=4)
+
+        with pytest.raises(ValueError, match="nondecreasing"):
+            tree([1.0, 2.0, 1.5])
+        # a dip within the relative tolerance is floating-point noise
+        assert tree([1.0, 2.0e6, 2.0e6 - 1e-4]).merges.shape == (3, 4)
+        with pytest.raises(ValueError, match="nondecreasing"):
+            tree([1.0, 2.0e6, 2.0e6 - 1e-2])
 
 
 class TestCutTree:

@@ -22,8 +22,7 @@ from gramclust.hierarchy import cut_tree, ward_linkage
 from gramclust.mixture import (
     VARIANCE_FLOOR,
     MixtureParams,
-    _estep_arrays,
-    _mstep_arrays,
+    _log_joint,
     classification_loglik,
     mixture_loglik,
 )
@@ -31,9 +30,9 @@ from tests.conftest import two_cluster_spec
 
 
 def make_m(values):
-    from gramclust.transform import AugmentedGram, VARIANT_INITIAL
+    from gramclust.transform import AugmentedGram
 
-    return AugmentedGram(np.asarray(values, dtype=float), variant=VARIANT_INITIAL)
+    return AugmentedGram(np.asarray(values, dtype=float))
 
 
 class TestDensity:
@@ -61,7 +60,7 @@ class TestDensity:
 class TestMstep:
     def test_single_cluster(self):
         m = make_m(np.random.default_rng(1).normal(size=(5, 6)))
-        params = mstep(m, ClusterAssignment(np.ones(5, dtype=np.int64), 1))
+        params = mstep(m.values, np.ones(5, dtype=np.int64), 1)
         assert params.weights[0] == 1.0
         np.testing.assert_allclose(params.means[0], m.values.mean(axis=0))
         np.testing.assert_allclose(
@@ -72,14 +71,14 @@ class TestMstep:
     def test_identical_rows_hit_floor(self):
         row = np.array([1.0, -2.0, 3.0])
         x = np.vstack([row, row, row + 5.0, row + 5.0])
-        params = _mstep_arrays(x, np.array([1, 1, 2, 2]), 2)
+        params = mstep(x, np.array([1, 1, 2, 2]), 2)
         assert np.all(params.covariances == VARIANCE_FLOOR)
         np.testing.assert_array_equal(params.means[0], row)
         assert params.floored.all()
 
     def test_two_row_cluster(self):
         x = np.array([[0.0, 0.0], [2.0, 0.0], [9.0, 9.0]])
-        params = _mstep_arrays(x, np.array([1, 1, 2]), 2)
+        params = mstep(x, np.array([1, 1, 2]), 2)
         np.testing.assert_allclose(params.means[0], [1.0, 0.0])
         # population denominator n_k: ((0-1)^2 + (2-1)^2)/2 = 1
         assert params.covariances[0][0] == pytest.approx(1.0)
@@ -89,15 +88,15 @@ class TestMstep:
     def test_empty_cluster_raises(self):
         m = make_m(np.random.default_rng(2).normal(size=(4, 5)))
         with pytest.raises(EmptyClusterError):
-            mstep(m, ClusterAssignment(np.array([1, 1, 1, 1]), 2))
+            mstep(m.values, np.array([1, 1, 1, 1]), 2)
 
 
 class TestEstep:
     def test_single_component(self):
         m = make_m(np.random.default_rng(4).normal(size=(5, 6)))
-        params = mstep(m, ClusterAssignment(np.ones(5, dtype=np.int64), 1))
-        out = estep(m, params)
-        np.testing.assert_array_equal(out.labels, np.ones(5))
+        params = mstep(m.values, np.ones(5, dtype=np.int64), 1)
+        out = estep(m.values, params)
+        np.testing.assert_array_equal(out, np.ones(5))
 
     def test_nearest_mean_under_equal_spherical(self):
         params = MixtureParams(
@@ -107,7 +106,7 @@ class TestEstep:
         )
         m = make_m([[2.1, 0.0]])  # closer to mean 2 by epsilon
         # single row: widen to valid M shape is unnecessary here, bypass type
-        scores = _estep_arrays(np.array([[2.1, 0.0]]), params)
+        scores = estep(np.array([[2.1, 0.0]]), params)
         assert scores[0] == 2
 
     def test_tie_goes_to_smallest_index(self):
@@ -116,7 +115,7 @@ class TestEstep:
             means=np.array([[0.0, 0.0], [4.0, 0.0]]),
             covariances=np.ones((2, 2)),
         )
-        scores = _estep_arrays(np.array([[2.0, 0.0]]), params)
+        scores = estep(np.array([[2.0, 0.0]]), params)
         assert scores[0] == 1
 
 
@@ -135,7 +134,7 @@ class TestCemFit:
         fit = cem_fit(g, m, 1, init)
         assert fit.converged and fit.iterations == 1
         md = augment_with_clusters(g, fit.labels)
-        params = mstep(md, fit.labels)
+        params = mstep(md.values, fit.labels.labels, fit.labels.k)
         assert fit.loglik == pytest.approx(mixture_loglik(md.values, params))
 
     def test_truth_init_stable_one_sweep(self, separated_instance):
@@ -185,6 +184,9 @@ class TestCemFit:
         f1 = cem_fit(g, m, 2, init)
         f2 = cem_fit(g, m, 2, swapped)
         assert np.array_equal(f1.labels.labels, f2.labels.labels)
+        # components are permuted back to the canonical label order
+        assert np.array_equal(f1.params.weights, f2.params.weights)
+        assert np.array_equal(f1.params.means, f2.params.means)
 
     def test_empty_estep_degenerate(self):
         # identical rows, 2/1 init: both components land on the same mean
@@ -220,11 +222,11 @@ class TestCemFit:
         labels = init.labels.copy()
         prev = None
         for _ in range(60):
-            params = _mstep_arrays(m.values, labels, 3)
+            params = mstep(m.values, labels, 3)
             after_m = classification_loglik(m.values, params, labels)
             if prev is not None and not params.floored.any():
                 assert after_m >= prev - 1e-9
-            new = _estep_arrays(m.values, params)
+            new = estep(m.values, params)
             after_e = classification_loglik(m.values, params, new)
             assert after_e >= after_m - 1e-9
             if np.array_equal(new, labels):
@@ -235,7 +237,7 @@ class TestCemFit:
     def test_mixture_loglik_matches_naive(self):
         spec = two_cluster_spec(1.0, 60, seed=13)
         g, m, truth = prepared_instance(spec, 8)
-        params = mstep(m, truth)
+        params = mstep(m.values, truth.labels, truth.k)
         dens = np.array([
             [
                 component_density_log(r, params.means[j], params.covariances[j])
@@ -245,3 +247,23 @@ class TestCemFit:
         ])
         naive = float(np.log((params.weights * np.exp(dens)).sum(axis=1)).sum())
         assert mixture_loglik(m.values, params) == pytest.approx(naive, abs=1e-9)
+
+    def test_log_joint_matches_per_row_density(self):
+        # N = 300, K = 5 spans several component blocks in _log_joint
+        rng = np.random.default_rng(17)
+        n, k = 300, 5
+        x = rng.normal(size=(n, n + 1))
+        params = MixtureParams(
+            weights=np.full(k, 0.2),
+            means=rng.normal(size=(k, n + 1)),
+            covariances=rng.uniform(0.5, 2.0, size=(k, n + 1)),
+        )
+        log_w = np.log(params.weights)
+        ref = np.array([
+            [
+                log_w[j] + component_density_log(r, params.means[j], params.covariances[j])
+                for j in range(k)
+            ]
+            for r in x
+        ])
+        assert np.array_equal(_log_joint(x, params), ref)

@@ -14,7 +14,7 @@ from gramclust import (
     separability_diagnostic,
 )
 from gramclust.errors import SingleClusterError
-from gramclust.transform import augment_values, cluster_augment_values
+from gramclust.transform import cluster_augment_values
 
 
 def symmetric_sentinels(n=4):
@@ -29,7 +29,8 @@ def symmetric_sentinels(n=4):
 
 
 def reference_augment(g):
-    """Per-object oracle for augment_values: one masked column sum per slot."""
+    """Per-object oracle for the one-cluster transform: one masked column
+    sum per slot."""
     n = g.shape[0]
     m = np.concatenate([g, np.diag(g)[:, None]], axis=1)
     for i in range(n):
@@ -73,7 +74,8 @@ class TestKernelOracle:
             cases.append((g, np.ones(n, dtype=np.int64)))
             cases.append((g, rng.integers(1, max(2, n // 3), size=n)))
         for g, labels in cases:
-            assert np.array_equal(augment_values(g), reference_augment(g))
+            ones = np.ones(g.shape[0], dtype=np.int64)
+            assert np.array_equal(cluster_augment_values(g, ones), reference_augment(g))
             assert np.array_equal(
                 cluster_augment_values(g, labels), reference_cluster_augment(g, labels)
             )
@@ -96,7 +98,7 @@ class TestAugment:
         # the vacated slot takes the average of its column, g[j,i]
         g = np.array([[float(10 * (i + 1) + (j + 1)) for j in range(4)]
                       for i in range(4)])
-        m = augment_values(g)
+        m = cluster_augment_values(g, np.ones(4, dtype=np.int64))
         np.testing.assert_array_equal(
             m[0], [(21 + 31 + 41) / 3, 12, 13, 14, 11]
         )
