@@ -43,7 +43,7 @@ class RunConfig:
     max_iter: int = DEFAULT_MAX_ITER
     preprocess: str = PREPROCESS_PAPER
     ami_norm: str = NORM_MEAN
-    threads: int = 1  # the CLI resolves an unset value to "auto" (all cores)
+    threads: int = 1
     delimiter: str = ","
     output_dir: str = "."
 
@@ -96,7 +96,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         max_iter=_resolve(args.max_iter, "MAX_ITER", DEFAULT_MAX_ITER, int),
         preprocess=_resolve(args.preprocess, "PREPROCESS", PREPROCESS_PAPER, str),
         ami_norm=_resolve(args.ami_norm, "AMI_NORM", NORM_MEAN, str),
-        threads=_threads_cast(_resolve(args.threads, "THREADS", "auto", str)),
+        threads=_threads_cast(_resolve(args.threads, "THREADS", "1", str)),
         delimiter=_resolve(args.delimiter, "DELIMITER", ",", str),
         output_dir=_resolve(getattr(args, "output_dir", None), "OUTPUT_DIR", ".", str),
     )
@@ -283,7 +283,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ami-norm", dest="ami_norm", choices=_AMI_NORMS,
                         default=None)
     parser.add_argument("--threads", default=None,
-                        help="worker threads for the K sweep, or 'auto'")
+                        help="worker threads for the K sweep (default 1), or 'auto'")
     parser.add_argument("--delimiter", default=None)
     parser.add_argument("--output-dir", dest="output_dir", default=None)
 

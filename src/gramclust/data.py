@@ -7,7 +7,6 @@ G = X X^T / P computed from a column-standardized N x P feature matrix X.
 from __future__ import annotations
 
 import csv
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -200,14 +199,22 @@ def _looks_numeric(tokens) -> bool:
     return True
 
 
+def _loadtxt_float(text: str) -> float:
+    """float() restricted to the spellings numpy's C reader accepts: it
+    rejects digit-group underscores and non-ASCII digits."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
+
+
 def read_feature_csv(path, delimiter: str = ",") -> FeatureCsv:
     """Read a feature CSV into a raw FeatureMatrix.
 
     The header row is detected by attempting to parse the first row as
     numbers. A header column named ``label`` (case-insensitive) is
-    extracted as ground truth and excluded from the features. Ragged rows
-    raise DataError with the offending 1-based line number. Rows are
-    parsed to float64 arrays as they are read.
+    extracted as ground truth and excluded from the features. The values
+    are parsed in one pass by numpy's C reader; a ragged or non-numeric
+    row raises DataError with its 1-based line number.
     """
     with open(path, newline="") as fh:
         rows = (
@@ -218,37 +225,64 @@ def read_feature_csv(path, delimiter: str = ",") -> FeatureCsv:
         first_line, first_row = next(rows, (None, None))
         if first_row is None:
             raise DataError("empty file")
-
         first = [t.strip() for t in first_row]
         names = None if _looks_numeric(first) else first
-        if names is None:
-            rows = itertools.chain([(first_line, first_row)], rows)
-        label_idx = next(
-            (i for i, name in enumerate(names or ()) if name.lower() == "label"), None
-        )
+        if names is not None and next(rows, None) is None:
+            raise DataError("no data rows", line=first_line)
+    label_idx = next(
+        (i for i, name in enumerate(names or ()) if name.lower() == "label"), None
+    )
+    width = len(first_row)
+    skip = first_line if names is not None else first_line - 1
 
-        width = len(first_row)
-        values = []
-        labels = [] if label_idx is not None else None
-        for lineno, row in rows:
-            if len(row) != width:
-                raise DataError(
-                    f"expected {width} fields, got {len(row)}", line=lineno
-                )
-            if labels is not None:
-                labels.append(row.pop(label_idx).strip())
-            try:
-                values.append(np.fromiter(map(float, row), np.float64, len(row)))
-            except ValueError as exc:
-                raise DataError(f"non-numeric value ({exc})", line=lineno) from exc
-    if not values:
-        raise DataError("no data rows", line=first_line)
+    labels = converters = None
+    if label_idx is not None:
+        labels = []
+
+        def take_label(text):
+            labels.append(text.strip())
+            return 0.0
+
+        converters = {label_idx: take_label}
+    try:
+        # No usecols: with it, loadtxt accepts rows that carry extra fields.
+        values = np.loadtxt(
+            path, delimiter=delimiter, skiprows=skip, comments=None,
+            quotechar='"', ndmin=2, converters=converters,
+        )
+    except ValueError as exc:
+        raise _first_bad_row(path, delimiter, skip, width, label_idx, exc) from exc
+    if values.shape[1] != width:
+        raise _first_bad_row(path, delimiter, skip, width, label_idx, None)
+    if label_idx is not None:
+        values = np.delete(values, label_idx, axis=1)
 
     feature_names = None
     if names is not None:
         feature_names = [n for i, n in enumerate(names) if i != label_idx]
     return FeatureCsv(
-        matrix=FeatureMatrix(np.vstack(values)),
+        matrix=FeatureMatrix(values),
         truth_labels=labels,
         feature_names=feature_names,
     )
+
+
+def _first_bad_row(path, delimiter, skip, width, label_idx, cause) -> DataError:
+    """The error for the first row past line ``skip`` that is ragged or
+    holds a value the C reader rejects. Rows are split by ``csv`` and
+    numbered as the header scan numbers them, blank lines included
+    (loadtxt's own row numbers skip blank lines)."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        for lineno, row in enumerate(reader, start=1):
+            if lineno <= skip or not row:
+                continue
+            if len(row) != width:
+                return DataError(f"expected {width} fields, got {len(row)}", line=lineno)
+            try:
+                for i, text in enumerate(row):
+                    if i != label_idx:
+                        _loadtxt_float(text)
+            except ValueError as exc:
+                return DataError(f"non-numeric value ({exc})", line=lineno)
+    return DataError(f"unreadable values ({cause})")

@@ -21,13 +21,10 @@ _MONOTONE_RTOL = 1e-9
 def canonicalize_labels(labels) -> tuple[np.ndarray, int]:
     """Relabel to 1..k in order of first occurrence; returns (labels, k)."""
     seq = np.asarray(labels).ravel()
-    out = np.empty(seq.shape[0], dtype=np.int64)
-    mapping: dict = {}
-    for i, v in enumerate(seq.tolist()):
-        if v not in mapping:
-            mapping[v] = len(mapping) + 1
-        out[i] = mapping[v]
-    return out, len(mapping)
+    _, first, inverse = np.unique(seq, return_index=True, return_inverse=True)
+    rank = np.empty(first.shape[0], dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(1, first.shape[0] + 1)
+    return rank[inverse], first.shape[0]
 
 
 @dataclass(frozen=True)
@@ -130,14 +127,12 @@ def cut_tree(d: Dendrogram, k: int) -> ClusterAssignment:
     if not 1 <= k <= n:
         raise KOutOfRangeError(f"k={k} outside [1, {n}]")
     parent = np.arange(2 * n - 1, dtype=np.int64)
-    for t in range(n - k):
-        a, b = int(d.merges[t, 0]), int(d.merges[t, 1])
-        parent[a] = n + t
-        parent[b] = n + t
-    roots = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        j = i
-        while parent[j] != j:
-            j = parent[j]
-        roots[i] = j
-    return ClusterAssignment.from_raw(roots)
+    done = d.merges[: n - k, :2].astype(np.int64)
+    parent[done] = n + np.arange(n - k, dtype=np.int64)[:, None]
+    # Pointer jumping: each pass doubles how far every entry points up.
+    while True:
+        up = parent[parent]
+        if np.array_equal(up, parent):
+            break
+        parent = up
+    return ClusterAssignment.from_raw(parent[:n])

@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .data import GramMatrix
 from .errors import EmptyClusterError, SingularCovarianceError
@@ -25,11 +24,11 @@ VARIANCE_FLOOR = 1e-8
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
-# Cap on one (block, N, D) difference tensor in _log_joint (2 MB). Small
-# fits take one pass: a block per component costs about 12 ms more per K
-# sweep at N = 60 on the 2-thread pool (2-core VM). Large fits never build
-# the full (K, N, D) tensor, 77 MB at N = 400, K = 20.
-_BLOCK_DOUBLES = 1 << 18
+# Cap on the difference buffer of _log_joint (512 KB, cache-sized). At
+# N = 60 up to 17 components share one pass; at N = 400 a block is 163
+# rows of one component, and the (K, N, D) tensor (77 MB at K = 20) is
+# never built.
+_BLOCK_DOUBLES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -120,40 +119,65 @@ def component_density_log(row, mean, cov) -> float:
 
 
 def _log_joint(x: np.ndarray, params: MixtureParams) -> np.ndarray:
-    """(N, K) matrix of log w_k plus each component's log density,
-    scored in blocks of at most _BLOCK_DOUBLES difference values."""
+    """(N, K) matrix of log w_k plus each component's log density.
+
+    The squared scaled differences are formed in one reused buffer of at
+    most _BLOCK_DOUBLES values: a block of whole components where one
+    component fits, else a block of rows of one component. Each row still
+    sums its D terms in one contiguous reduction. The result is the
+    transpose of a C-ordered (K, N) array; sums over its components (as in
+    mixture_loglik) take their order, and so their bits, from that layout.
+    """
     n, d = x.shape
-    v = params.covariances
-    step = max(1, _BLOCK_DOUBLES // (n * d))
-    quad = np.empty((params.k, n))
-    for lo in range(0, params.k, step):
-        block = slice(lo, lo + step)
-        diff = x[None, :, :] - params.means[block, None, :]
-        quad[block] = (diff * diff / v[block, None, :]).sum(axis=-1)
-    logdet = np.log(v).sum(axis=1)
-    return np.log(params.weights) - 0.5 * (d * _LOG_2PI + logdet[:, None] + quad).T
+    k = params.k
+    mu, v = params.means, params.covariances
+    rows = max(1, min(n, _BLOCK_DOUBLES // d))
+    comps = max(1, _BLOCK_DOUBLES // (rows * d))
+    buf = np.empty(min(k, comps) * rows * d)
+    quad = np.empty((k, n))
+    for c0 in range(0, k, comps):
+        c1 = min(k, c0 + comps)
+        for r0 in range(0, n, rows):
+            r1 = min(n, r0 + rows)
+            diff = buf[: (c1 - c0) * (r1 - r0) * d].reshape(c1 - c0, r1 - r0, d)
+            np.subtract(x[None, r0:r1], mu[c0:c1, None], out=diff)
+            np.multiply(diff, diff, out=diff)
+            np.divide(diff, v[c0:c1, None], out=diff)
+            quad[c0:c1, r0:r1] = diff.sum(axis=-1)
+    quad += (d * _LOG_2PI + np.log(v).sum(axis=1))[:, None]
+    quad *= -0.5
+    quad += np.log(params.weights)[:, None]
+    return quad.T
 
 
 def mstep(x: np.ndarray, labels: np.ndarray, k: int) -> MixtureParams:
     """Hard M-step on the rows of ``x`` for labels in 1..k: weights n_k/N,
     within-cluster means and diagonal variances (denominator n_k), floored
-    at 1e-8."""
+    at 1e-8.
+
+    The rows are sorted by label once (stably, so each cluster keeps its
+    row order) and every cluster is reduced over its contiguous slice.
+    """
     n, d = x.shape
     sizes = np.bincount(labels, minlength=k + 1)[1:]
     if (sizes == 0).any():
         empty = int(np.flatnonzero(sizes == 0)[0]) + 1
         raise EmptyClusterError(f"cluster {empty} is empty")
-    weights = sizes / n
+    xs = x[np.argsort(labels, kind="stable")]
     means = np.empty((k, d))
-    cov = np.empty((k, d))
-    floored = np.zeros(k, dtype=bool)
-    for j in range(k):
-        rows = x[labels == j + 1]
-        means[j] = rows.mean(axis=0)
-        raw = ((rows - means[j]) ** 2).mean(axis=0)
-        floored[j] = bool((raw < VARIANCE_FLOOR).any())
-        cov[j] = np.maximum(raw, VARIANCE_FLOOR)
-    return MixtureParams(weights, means, cov, floored=floored)
+    raw = np.empty((k, d))
+    start = 0
+    for j, size in enumerate(sizes.tolist()):
+        rows = xs[start : start + size]
+        start += size
+        np.add.reduce(rows, axis=0, out=means[j])
+        means[j] /= size
+        rows -= means[j]
+        rows *= rows
+        np.add.reduce(rows, axis=0, out=raw[j])
+    raw /= sizes[:, None]
+    floored = (raw < VARIANCE_FLOOR).any(axis=1)
+    return MixtureParams(sizes / n, means, np.maximum(raw, VARIANCE_FLOOR), floored=floored)
 
 
 def estep(x: np.ndarray, params: MixtureParams) -> np.ndarray:
@@ -177,9 +201,21 @@ def classification_loglik(
 
 
 def mixture_loglik(x: np.ndarray, params: MixtureParams) -> float:
-    """Full mixture quasi log-likelihood via log-sum-exp."""
+    """Full mixture quasi log-likelihood via log-sum-exp.
+
+    Per row this is the arithmetic of scipy.special.logsumexp (scipy 1.17),
+    bit for bit: the m entries tied at the row maximum leave the sum, and
+    the row scores log1p(sum(exp(rest - max)) / m) + log(m) + max. Every
+    entry of the joint matrix is finite here.
+    """
     joint = _log_joint(np.asarray(x, dtype=np.float64), params)
-    return float(logsumexp(joint, axis=1).sum())
+    top = joint.max(axis=1, keepdims=True)
+    at_top = joint == top
+    ties = at_top.sum(axis=1, keepdims=True)
+    rest = np.exp(joint - top)
+    rest[at_top] = 0.0
+    s = rest.sum(axis=1, keepdims=True) / ties
+    return float((np.log1p(s) + np.log(ties) + top).sum())
 
 
 def _reorder_to_canonical(

@@ -66,10 +66,15 @@ def cluster_augment_values(g: np.ndarray, labels: np.ndarray) -> np.ndarray:
         # Row r of this contiguous (s, s-1) array holds column r of the
         # cluster block minus its diagonal entry, in row order, so each row
         # sum is bit-identical to the 1-D masked column sum.
-        off = g[np.ix_(idx, idx)].T.reshape(-1)[1:].reshape(s - 1, s + 1)[:, :-1]
+        off = g[idx][:, idx].T.reshape(-1)[1:].reshape(s - 1, s + 1)[:, :-1]
         m[idx, idx] = off.reshape(s, s - 1).sum(axis=1) / (s - 1)
-    for i in np.flatnonzero(counts[inverse] == 1):
-        m[i, i] = np.delete(g[:, i], i).sum() / (n - 1)
+    # Row r of the (|S|, n-1) array is column single[r] without its
+    # diagonal entry, in row order: the same sum as the 1-D column.
+    single = np.flatnonzero(counts[inverse] == 1)
+    cols = g.T[single]
+    keep = np.ones(cols.shape, dtype=bool)
+    keep[np.arange(single.size), single] = False
+    m[single, single] = cols[keep].reshape(single.size, n - 1).sum(axis=1) / (n - 1)
     return m
 
 

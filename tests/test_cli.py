@@ -132,6 +132,13 @@ class TestCluster:
         r1.pop("timings"), r2.pop("timings")
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
+    def test_default_threads_is_one(self, fixture_csv, tmp_path, monkeypatch):
+        # the echoed config must not depend on the host's core count
+        monkeypatch.delenv("GRAMCLUST_THREADS", raising=False)
+        out = tmp_path / "out"
+        assert main(["cluster", fixture_csv, "--output-dir", str(out)]) == 0
+        assert json.loads((out / "result.json").read_text())["config"]["threads"] == 1
+
     def test_env_and_flag_precedence(self, fixture_csv, tmp_path, monkeypatch):
         monkeypatch.setenv("GRAMCLUST_KMAX", "3")
         out1 = tmp_path / "envonly"

@@ -161,9 +161,11 @@ class TestReadFeatureCsv:
             ("f1,f2,label\n1.0,2.0,a\n3.0,4.0,b\n5.0,6.0,a\n", ["a", "b", "a"]),
             # a quoted label may contain the delimiter
             ('f1,label,f2\n1.0,"a,b",2.0\n3.0,c,4.0\n5.0,a,6.0\n', ["a,b", "c", "a"]),
+            # CRLF line endings
+            ("f1,f2,label\r\n1.0,2.0,a\r\n3.0,4.0,b\r\n5.0,6.0,a\r\n", ["a", "b", "a"]),
         ]
         for text, truth in cases:
-            path.write_text(text)
+            path.write_bytes(text.encode())
             parsed = read_feature_csv(path)
             assert parsed.matrix.n_objects == 3
             assert parsed.matrix.n_features == 2
@@ -181,7 +183,14 @@ class TestReadFeatureCsv:
     def test_ragged_row_reports_line(self, tmp_path):
         path = tmp_path / "d.csv"
         # a blank line counts towards the line number
-        for text, line in [("1,2\n3,4,5\n6,7\n", 2), ("1,2\n\n3,4,5\n", 3)]:
+        for text, line in [
+            ("1,2\n3,4,5\n6,7\n", 2),
+            ("1,2\n\n3,4,5\n", 3),
+            # a row with an extra field after a label column
+            ("f1,label\n1,a\n2,b,3\n", 3),
+            # a blank line before the header
+            ("\nf1,f2\n1,2\n3,4,5\n", 4),
+        ]:
             path.write_text(text)
             with pytest.raises(DataError) as exc:
                 read_feature_csv(path)
@@ -192,6 +201,10 @@ class TestReadFeatureCsv:
         for text, line in [
             ("f1,f2\n1,2\n3,oops\n", 3),
             ("label,f1,f2\na,1,2\nb,3,4\na,x,6\n", 4),
+            # a leading '#' is data, not a comment
+            ("1,2\n#3,4\n", 2),
+            # a blank line before the header
+            ("\nf1,f2\n1,2\n3,oops\n", 4),
         ]:
             path.write_text(text)
             with pytest.raises(DataError) as exc:
@@ -203,3 +216,12 @@ class TestReadFeatureCsv:
         path.write_text("1;2\n3;4\n")
         parsed = read_feature_csv(path, delimiter=";")
         np.testing.assert_allclose(parsed.matrix.values, [[1, 2], [3, 4]])
+
+    def test_python_only_float_spellings_rejected(self, tmp_path):
+        # the C reader takes no digit-group underscores or non-ASCII digits
+        path = tmp_path / "d.csv"
+        for text in ("f1,f2\n1,2\n1_0,4\n", "f1,f2\n1,2\n\u0661,4\n"):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(DataError) as exc:
+                read_feature_csv(path)
+            assert exc.value.line == 3

@@ -34,6 +34,71 @@ def replay_with_direct_costs(points, dendrogram):
     return np.asarray(costs)
 
 
+def reference_canonicalize(labels):
+    """First-occurrence dict loop: oracle for canonicalize_labels."""
+    seq = np.asarray(labels).ravel()
+    out = np.empty(seq.shape[0], dtype=np.int64)
+    mapping = {}
+    for i, v in enumerate(seq.tolist()):
+        if v not in mapping:
+            mapping[v] = len(mapping) + 1
+        out[i] = mapping[v]
+    return out, len(mapping)
+
+
+def reference_cut_tree(d, k):
+    """Per-object root walk over the first n-k merges: oracle for cut_tree."""
+    n = d.n_points
+    parent = list(range(2 * n - 1))
+    for t in range(n - k):
+        a, b = int(d.merges[t, 0]), int(d.merges[t, 1])
+        parent[a] = n + t
+        parent[b] = n + t
+    roots = []
+    for i in range(n):
+        j = i
+        while parent[j] != j:
+            j = parent[j]
+        roots.append(j)
+    return reference_canonicalize(roots)
+
+
+class TestKernelOracle:
+    def test_canonicalize_matches_loop(self):
+        rng = np.random.default_rng(21)
+        cases = [
+            [],
+            [5],
+            ["b", "a", "b", "c", "a"],
+            ["x10", "x2", "x10", "X2"],
+            [-1, 0, -1, 3, -7, 0],
+            rng.choice(["a", "bb", "ab", "B"], size=100),
+            rng.normal(size=50).round(),
+        ]
+        for n in (1, 2, 30, 400):
+            for high in (2, 5, 50):
+                cases.append(rng.integers(-high, high, size=n))
+        for labels in cases:
+            canon, k = canonicalize_labels(labels)
+            ref, ref_k = reference_canonicalize(labels)
+            assert k == ref_k
+            assert canon.dtype == np.int64
+            assert np.array_equal(canon, ref)
+
+    def test_cut_tree_matches_root_walk(self):
+        rng = np.random.default_rng(22)
+        for n in [2, 3, 5, 400, *rng.integers(4, 200, size=5).tolist()]:
+            pts = rng.normal(size=(n, 4))
+            if n % 2:
+                pts = pts.round()  # duplicate points: zero-cost merges
+            d = ward_linkage(pts)
+            for k in range(1, n + 1):
+                got = cut_tree(d, k)
+                ref, ref_k = reference_cut_tree(d, k)
+                assert got.k == ref_k
+                assert np.array_equal(got.labels, ref)
+
+
 class TestCanonicalize:
     def test_first_occurrence_order(self):
         canon, k = canonicalize_labels([7, 7, 3, 7, 9, 3])

@@ -20,6 +20,7 @@ from gramclust import FeatureMatrix, ami, augment, gen_mixture
 from gramclust.errors import EmptyClusterError
 from gramclust.hierarchy import cut_tree, ward_linkage
 from gramclust.mixture import (
+    _BLOCK_DOUBLES,
     VARIANCE_FLOOR,
     MixtureParams,
     _log_joint,
@@ -249,21 +250,96 @@ class TestCemFit:
         assert mixture_loglik(m.values, params) == pytest.approx(naive, abs=1e-9)
 
     def test_log_joint_matches_per_row_density(self):
-        # N = 300, K = 5 spans several component blocks in _log_joint
         rng = np.random.default_rng(17)
-        n, k = 300, 5
-        x = rng.normal(size=(n, n + 1))
-        params = MixtureParams(
-            weights=np.full(k, 0.2),
-            means=rng.normal(size=(k, n + 1)),
-            covariances=rng.uniform(0.5, 2.0, size=(k, n + 1)),
-        )
-        log_w = np.log(params.weights)
-        ref = np.array([
-            [
-                log_w[j] + component_density_log(r, params.means[j], params.covariances[j])
-                for j in range(k)
-            ]
-            for r in x
-        ])
-        assert np.array_equal(_log_joint(x, params), ref)
+        # N = 300: one component spans several row blocks in _log_joint;
+        # N = 40, K = 6: every component shares one block; N = 60, K = 20:
+        # two blocks of several components
+        assert 300 * 301 > _BLOCK_DOUBLES >= 6 * 40 * 41
+        assert 20 * 60 * 61 > _BLOCK_DOUBLES >= 2 * 60 * 61
+        for n, k in [(300, 5), (40, 6), (60, 20)]:
+            x = rng.normal(size=(n, n + 1))
+            params = MixtureParams(
+                weights=np.full(k, 1.0 / k),
+                means=rng.normal(size=(k, n + 1)),
+                covariances=rng.uniform(0.5, 2.0, size=(k, n + 1)),
+            )
+            log_w = np.log(params.weights)
+            ref = np.array([
+                [
+                    log_w[j]
+                    + component_density_log(r, params.means[j], params.covariances[j])
+                    for j in range(k)
+                ]
+                for r in x
+            ])
+            joint = _log_joint(x, params)
+            assert np.array_equal(joint, ref)
+            # the layout the broadcast form had, which fixes the summation
+            # order of mixture_loglik's row sums
+            assert joint.T.flags.c_contiguous
+
+
+def reference_mstep(x, labels, k):
+    """Masked per-cluster means and variances: oracle for mstep."""
+    d = x.shape[1]
+    means, raw = np.empty((k, d)), np.empty((k, d))
+    for j in range(k):
+        rows = x[labels == j + 1]
+        means[j] = rows.mean(axis=0)
+        raw[j] = ((rows - means[j]) ** 2).mean(axis=0)
+    return means, raw
+
+
+class TestKernelOracle:
+    def test_mstep_matches_masked_means(self):
+        rng = np.random.default_rng(23)
+        for k in range(1, 21):
+            n = int(rng.integers(k + 1, 300))
+            x = rng.normal(size=(n, n + 1)) * rng.uniform(0.1, 10.0)
+            # every cluster present, geometric (unbalanced) sizes
+            labels = np.concatenate([
+                np.arange(1, k + 1), np.minimum(k, rng.geometric(0.4, size=n - k))
+            ])
+            rng.shuffle(labels)
+            first = np.flatnonzero(labels == 1)
+            x[first] = x[first[0]]  # cluster 1 collapses onto the floor
+            params = mstep(x, labels, k)
+            means, raw = reference_mstep(x, labels, k)
+            assert np.array_equal(params.means, means)
+            assert np.array_equal(params.covariances, np.maximum(raw, VARIANCE_FLOOR))
+            assert np.array_equal(params.floored, (raw < VARIANCE_FLOOR).any(axis=1))
+            assert np.array_equal(params.weights, np.bincount(labels)[1:] / n)
+
+    def test_mixture_loglik_matches_scipy_logsumexp(self):
+        from scipy.special import logsumexp
+
+        rng = np.random.default_rng(24)
+        tied_rows = 0
+        for case in range(60):
+            k = int(rng.integers(1, 21))
+            n = int(rng.integers(k + 1, 120))
+            x = rng.normal(size=(n, n + 1))
+            means = 0.3 * rng.normal(size=(k, n + 1))
+            cov = rng.uniform(0.5, 2.0, size=(k, n + 1))
+            w = rng.dirichlet(np.ones(k))
+            if case % 3 == 1:
+                # a duplicated component: exactly tied row maxima
+                means[-1], cov[-1], w[-1] = means[0], cov[0], w[0]
+            elif case % 3 == 2:
+                # all components equal: every row ties k ways
+                means[:], cov[:], w[:] = means[0], cov[0], w[0]
+            params = MixtureParams(w / w.sum(), means, cov)
+            joint = _log_joint(x, params)
+            tied_rows += int(((joint == joint.max(axis=1, keepdims=True)).sum(axis=1) > 1).sum())
+            assert mixture_loglik(x, params) == float(logsumexp(joint, axis=1).sum())
+        assert tied_rows > 0
+        for _ in range(40):
+            # one coordinate, 8-20 components all within a factor e^pi of
+            # the row maximum: the order of the row sum shows in the result
+            k = int(rng.integers(8, 21))
+            x = rng.uniform(size=(int(rng.integers(10, 120)), 1))
+            params = MixtureParams(
+                np.full(k, 1.0 / k), rng.uniform(size=(k, 1)), np.full((k, 1), 0.5 / np.pi)
+            )
+            joint = _log_joint(x, params)
+            assert mixture_loglik(x, params) == float(logsumexp(joint, axis=1).sum())
