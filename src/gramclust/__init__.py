@@ -11,8 +11,17 @@ from .data import (
 )
 from .hierarchy import ClusterAssignment, Dendrogram, cut_tree
 from .metrics import ContingencyTable, ami, contingency, expected_mutual_info
-from .mixture import FitResult, MixtureParams, cem_fit, component_density_log, estep, mstep
-from .select import ClusterOutput, bic, cluster_features, num_params
+from .mixture import (
+    FitResult,
+    MixtureParams,
+    bic,
+    cem_fit,
+    component_density_log,
+    estep,
+    mstep,
+    num_params,
+)
+from .select import ClusterOutput, cluster_features
 from .synth import (
     BoundInputs,
     MixtureSpec,
@@ -49,14 +58,14 @@ __all__ = [
     "expected_mutual_info",
     "FitResult",
     "MixtureParams",
+    "bic",
     "cem_fit",
     "component_density_log",
     "estep",
     "mstep",
-    "ClusterOutput",
-    "bic",
-    "cluster_features",
     "num_params",
+    "ClusterOutput",
+    "cluster_features",
     "BoundInputs",
     "MixtureSpec",
     "SimulationPlan",

@@ -138,8 +138,8 @@ def cmd_cluster(input_path: str, config: RunConfig) -> int:
     with open(trace_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "bic"])
-        for rec in out.bic_trace:
-            writer.writerow([rec.k, repr(rec.bic) if math.isfinite(rec.bic) else ""])
+        for fit in out.fits:
+            writer.writerow([fit.k, repr(fit.bic) if math.isfinite(fit.bic) else ""])
 
     ami_truth = None
     if parsed.truth_labels is not None:
@@ -155,14 +155,14 @@ def cmd_cluster(input_path: str, config: RunConfig) -> int:
         "ami_truth": ami_truth,
         "bic_trace": [
             {
-                "k": rec.k,
-                "bic": _jsonable(rec.bic),
-                "converged": rec.converged,
-                "degenerate": rec.degenerate,
+                "k": fit.k,
+                "bic": _jsonable(fit.bic),
+                "converged": fit.converged,
+                "degenerate": fit.degenerate,
                 "iterations": fit.iterations,
                 "loglik": _jsonable(fit.loglik),
             }
-            for rec, fit in zip(out.bic_trace, out.fits)
+            for fit in out.fits
         ],
         "config": config.as_dict(),
         "timings": out.timings,
@@ -253,7 +253,7 @@ def cmd_simulate(plan_path: str, config: RunConfig) -> int:
 
     payload = {
         "version": __version__,
-        "plan": plan.to_dict(),
+        "plan": dataclasses.asdict(plan),
         "points": [dataclasses.asdict(pt) for pt in report.points],
         "slope": report.slope,
         "expectation_check": dataclasses.asdict(exp_check),
@@ -264,9 +264,6 @@ def cmd_simulate(plan_path: str, config: RunConfig) -> int:
         ),
         "config": config.as_dict(),
     }
-    payload["expectation_check"]["cluster_sizes"] = list(
-        payload["expectation_check"]["cluster_sizes"]
-    )
     _dump_json(os.path.join(config.output_dir, "report.json"), payload)
     bounded = all(pt.mse_mean <= pt.bound_sq for pt in report.points)
     print(

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import LengthMismatchError
 from .hierarchy import ClusterAssignment
@@ -87,6 +86,11 @@ def expected_mutual_info(row_marginals, col_marginals, n: int) -> float:
     canonically sorted marginals (n at most a few hundred keeps this
     cheap, so no sampling is involved).
     """
+    # Imported here, not at module level: scipy.special would add about
+    # 0.2 s to `import gramclust.cli` (2-core VM), which the simulate
+    # command never needs.
+    from scipy.special import gammaln
+
     a = tuple(sorted((int(x) for x in np.ravel(row_marginals)), reverse=True))
     b = tuple(sorted((int(x) for x in np.ravel(col_marginals)), reverse=True))
     if sum(a) != n or sum(b) != n:

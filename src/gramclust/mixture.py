@@ -3,8 +3,9 @@ an augmented Gram matrix.
 
 The loop alternates a hard M-step (component weights, means, covariances
 from the current assignment, all with denominator n_k) and a hard E-step
-(argmax of weighted log-density) on a fixed input matrix. Scoring happens
-afterwards on the cluster-aware matrix rebuilt from the final assignment.
+(argmax of weighted log-density) on a fixed input matrix. Scoring (the
+quasi log-likelihood and its BIC) happens afterwards on the cluster-aware
+matrix rebuilt from the final assignment.
 """
 
 from __future__ import annotations
@@ -78,13 +79,13 @@ class MixtureParams:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of one classification-EM fit at a fixed K.
+    """Outcome and score of one classification-EM fit at a fixed K.
 
     ``loglik`` is the full mixture quasi log-likelihood evaluated on the
-    cluster-aware matrix rebuilt from the final assignment; ``bic`` is
-    filled in by model selection (-inf sentinel for degenerate fits, which
-    are excluded from the K sweep). ``floor_events`` counts M-steps where
-    some variance hit the floor.
+    cluster-aware matrix rebuilt from the final assignment, and ``bic`` its
+    BIC; degenerate fits carry bic = -inf and are excluded from the K
+    sweep. ``floor_events`` counts M-steps where some variance hit the
+    floor.
     """
 
     labels: ClusterAssignment
@@ -99,6 +100,27 @@ class FitResult:
     def __post_init__(self):
         if self.degenerate and self.bic != float("-inf"):
             raise ValueError("degenerate fits must carry bic = -inf")
+
+    @property
+    def k(self) -> int:
+        """The number of components, K."""
+        return self.labels.k
+
+
+def num_params(k: int, n: int) -> int:
+    """Free parameters of a K-component mixture over rows in R^(n+1):
+    K-1 weights, K means and K diagonal variance vectors."""
+    if k < 1 or n < 2:
+        raise ValueError("need k >= 1 and n >= 2")
+    d = n + 1
+    return (k - 1) + k * d + k * d
+
+
+def bic(loglik: float, nu: int, n: int) -> float:
+    """2 * loglik - nu * ln(n); larger is better."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    return 2.0 * loglik - nu * float(np.log(n))
 
 
 def component_density_log(row, mean, cov) -> float:
@@ -231,7 +253,7 @@ def _reorder_to_canonical(
         weights=params.weights[order],
         means=params.means[order],
         covariances=params.covariances[order],
-        floored=None if params.floored is None else params.floored[order],
+        floored=params.floored[order],
     )
     return assignment, params
 
@@ -243,14 +265,15 @@ def cem_fit(
     init: ClusterAssignment,
     max_iter: int = 100,
 ) -> FitResult:
-    """Run classification EM at a fixed K and score the result.
+    """Run classification EM at a fixed K and score the result by BIC.
 
     The loop runs on the fixed matrix ``m`` until the assignment stops
     changing or ``max_iter`` sweeps elapse. The final assignment then
     rebuilds the cluster-aware matrix from ``g``, a last M-step on it
-    yields the reported parameters, and ``loglik`` is the mixture quasi
-    log-likelihood of its rows. An E-step that empties a component aborts
-    the fit as degenerate, as does a collapsed final component.
+    yields the reported parameters, ``loglik`` is the mixture quasi
+    log-likelihood of its rows and ``bic`` scores it with num_params(k, N)
+    free parameters. An E-step that empties a component aborts the fit as
+    degenerate, as does a collapsed final component.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -266,41 +289,39 @@ def cem_fit(
     floor_events = 0
     iterations = 0
     converged = False
+    emptied = False
     for _ in range(max_iter):
         params = mstep(x, labels, k)
         iterations += 1
-        if params.floored is not None and params.floored.any():
+        if params.floored.any():
             floor_events += 1
         new = estep(x, params)
         if (np.bincount(new, minlength=k + 1)[1:] == 0).any():
-            assignment, params = _reorder_to_canonical(labels, params)
-            return FitResult(
-                labels=assignment,
-                params=params,
-                loglik=float("-inf"),
-                bic=float("-inf"),
-                iterations=iterations,
-                converged=False,
-                degenerate=True,
-                floor_events=floor_events,
-            )
+            emptied = True
+            break
         if np.array_equal(new, labels):
             converged = True
             break
         labels = new
 
-    aug_c = augment_with_clusters(g, ClusterAssignment(labels, k))
-    final_params = mstep(aug_c.values, labels, k)
-    loglik = mixture_loglik(aug_c.values, final_params)
-    collapsed = bool(final_params.floored is not None and final_params.floored.any())
-    assignment, final_params = _reorder_to_canonical(labels, final_params)
+    if emptied:
+        loglik = float("-inf")
+        degenerate = True
+    else:
+        aug_c = augment_with_clusters(g, ClusterAssignment(labels, k))
+        params = mstep(aug_c.values, labels, k)
+        loglik = mixture_loglik(aug_c.values, params)
+        degenerate = bool(params.floored.any())
+    n = m.n_objects
+    score = float("-inf") if degenerate else bic(loglik, num_params(k, n), n)
+    assignment, params = _reorder_to_canonical(labels, params)
     return FitResult(
         labels=assignment,
-        params=final_params,
+        params=params,
         loglik=loglik,
-        bic=float("-inf") if collapsed else float("nan"),
+        bic=score,
         iterations=iterations,
         converged=converged,
-        degenerate=collapsed,
+        degenerate=degenerate,
         floor_events=floor_events,
     )

@@ -334,18 +334,6 @@ class SimulationPlan:
             seed=int(d.get("seed", 0)),
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "k0": self.k0,
-            "weights": list(self.weights),
-            "mean_patterns": [list(p) for p in self.mean_patterns],
-            "variance_patterns": [list(p) for p in self.variance_patterns],
-            "n": self.n,
-            "reps": self.reps,
-            "p_grid": list(self.p_grid),
-            "seed": self.seed,
-        }
-
 
 def build_spec(plan: SimulationPlan, p: int, seed: Optional[int] = None) -> MixtureSpec:
     """Instantiate the plan's mixture at feature count p."""

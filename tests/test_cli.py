@@ -27,12 +27,15 @@ def write_feature_csv(path, x, labels=None):
 
 
 def test_import_does_not_load_scipy_cluster():
-    # the Ward tree imports scipy.cluster on first use; eval and simulate
-    # never need it
+    # the Ward tree imports scipy.cluster and the E[MI] oracle
+    # scipy.special on first use; simulate needs neither
     import gramclust
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(gramclust.__file__)))
-    code = "import sys, gramclust.cli; sys.exit('scipy.cluster' in sys.modules)"
+    code = (
+        "import sys, gramclust.cli; "
+        "sys.exit(any(m in sys.modules for m in ('scipy.cluster', 'scipy.special')))"
+    )
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 

@@ -8,11 +8,13 @@ import pytest
 from gramclust import (
     ClusterAssignment,
     GramMatrix,
+    bic,
     cem_fit,
     component_density_log,
     estep,
     gram,
     mstep,
+    num_params,
     standardize_columns,
     augment_with_clusters,
 )
@@ -162,6 +164,18 @@ class TestCemFit:
         assert fit.iterations == 2
         assert ami(truth, fit.labels) == 1.0
 
+    def test_fit_scores_itself(self, separated_instance):
+        _, fm, _ = separated_instance
+        g = gram(standardize_columns(fm))
+        m = augment(g)
+        n = m.n_objects
+        for k in (1, 2):
+            init = cut_tree(ward_linkage(m.values), k)
+            fit = cem_fit(g, m, k, init)
+            assert not fit.degenerate
+            assert fit.k == k
+            assert fit.bic == bic(fit.loglik, num_params(k, n), n)
+
     def test_deterministic_bitwise(self, separated_instance):
         _, fm, truth = separated_instance
         x = standardize_columns(fm)
@@ -198,6 +212,7 @@ class TestCemFit:
         g = GramMatrix(np.zeros((3, 3)))
         fit = cem_fit(g, m, 2, ClusterAssignment(np.array([1, 1, 2]), 2))
         assert fit.degenerate
+        assert fit.k == 2
         assert not fit.converged
         assert fit.bic == float("-inf")
         assert fit.loglik == float("-inf")

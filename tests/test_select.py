@@ -1,10 +1,13 @@
 """Tests for parameter counting, BIC, and the K-sweep driver."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from gramclust import ClusterAssignment, ami, bic, gen_mixture, cluster_features, num_params
-from gramclust.select import ClusterOutput, KFitRecord
+from gramclust import ami, bic, gen_mixture, cluster_features, num_params
+from gramclust.errors import AllFitsDegenerateError
+from gramclust.select import ClusterOutput
 from tests.conftest import two_cluster_spec
 
 
@@ -28,24 +31,35 @@ class TestBic:
 
 
 class TestClusterOutputInvariants:
-    def _trace(self, bics):
+    @pytest.fixture(scope="class")
+    def fits(self):
+        spec = two_cluster_spec(6.0, 300, seed=4)
+        fm, _ = gen_mixture(spec, 12)
+        return cluster_features(fm, kmax=4, preprocess="standardize").fits
+
+    def _rescored(self, fits, bics):
         return tuple(
-            KFitRecord(k=i + 1, bic=b, converged=True, degenerate=not np.isfinite(b))
-            for i, b in enumerate(bics)
+            replace(f, bic=b, degenerate=not np.isfinite(b)) for f, b in zip(fits, bics)
         )
 
-    def test_tie_goes_to_smaller_k(self):
-        labels = ClusterAssignment(np.array([1, 1, 2]), 2)
-        trace = self._trace([0.0, 5.0, 5.0])
-        ClusterOutput(k_hat=2, labels=labels, bic_trace=trace, fits=(), timings={})
-        with pytest.raises(ValueError):
-            ClusterOutput(k_hat=3, labels=labels, bic_trace=trace, fits=(), timings={})
+    def test_tie_goes_to_smaller_k(self, fits):
+        out = ClusterOutput(self._rescored(fits, [0.0, 5.0, 5.0, -np.inf]), {})
+        assert out.k_hat == 2
+        assert out.labels is fits[1].labels
+        out = ClusterOutput(self._rescored(fits, [-np.inf, 1.0, -np.inf, 1.0]), {})
+        assert out.k_hat == 2
+        out = ClusterOutput(self._rescored(fits, [-np.inf, -np.inf, -np.inf, 2.5]), {})
+        assert out.k_hat == 4
 
-    def test_trace_must_cover_range(self):
-        labels = ClusterAssignment(np.array([1, 1]), 1)
-        bad = (KFitRecord(k=2, bic=1.0, converged=True, degenerate=False),)
-        with pytest.raises(ValueError):
-            ClusterOutput(k_hat=2, labels=labels, bic_trace=bad, fits=(), timings={})
+    def test_trace_must_cover_range(self, fits):
+        with pytest.raises(ValueError, match="exactly once"):
+            ClusterOutput(fits[1:], {})
+        with pytest.raises(ValueError, match="exactly once"):
+            ClusterOutput((fits[0], fits[1], fits[1]), {})
+
+    def test_all_degenerate_raises(self, fits):
+        with pytest.raises(AllFitsDegenerateError):
+            ClusterOutput(self._rescored(fits, [-np.inf] * len(fits)), {})
 
 
 class TestGmcluster:
@@ -55,7 +69,7 @@ class TestGmcluster:
         out = cluster_features(fm, kmax=20, preprocess="standardize")
         assert out.k_hat == 2
         assert ami(truth, out.labels) == 1.0
-        assert len(out.bic_trace) == 20
+        assert [f.k for f in out.fits] == list(range(1, 21))
 
     def test_kmax_one(self):
         spec = two_cluster_spec(6.0, 500, seed=3)
@@ -69,7 +83,7 @@ class TestGmcluster:
         fm, _ = gen_mixture(spec, 8)
         with pytest.warns(UserWarning, match="clamped"):
             out = cluster_features(fm, kmax=30, preprocess="standardize")
-        assert len(out.bic_trace) == 8
+        assert len(out.fits) == 8
 
     def test_single_cluster_noise_selects_one(self):
         # frozen Monte-Carlo regression: these 15 seeds all pick K = 1
@@ -102,13 +116,13 @@ class TestGmcluster:
         b = cluster_features(fm, kmax=10, preprocess="standardize", threads=4)
         assert a.k_hat == b.k_hat
         assert np.array_equal(a.labels.labels, b.labels.labels)
-        assert [r.bic for r in a.bic_trace] == [r.bic for r in b.bic_trace]
+        assert [f.bic for f in a.fits] == [f.bic for f in b.fits]
 
     def test_selected_fit_never_degenerate(self):
         spec = two_cluster_spec(6.0, 800, seed=9)
         fm, _ = gen_mixture(spec, 20)
         out = cluster_features(fm, kmax=12, preprocess="standardize")
-        chosen = out.bic_trace[out.k_hat - 1]
+        chosen = out.fits[out.k_hat - 1]
         assert not chosen.degenerate
         assert np.isfinite(chosen.bic)
 

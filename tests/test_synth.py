@@ -190,7 +190,7 @@ class TestSimulationPlan:
             variance_patterns=((1.0,), (1.0,)),
             n=6, reps=30, p_grid=(20, 40), seed=4,
         )
-        assert SimulationPlan.from_dict(plan.to_dict()) == plan
+        assert SimulationPlan.from_dict(dataclasses.asdict(plan)) == plan
         spec = build_spec(plan, 5)
         np.testing.assert_array_equal(spec.means[0], np.ones(5))
         np.testing.assert_array_equal(spec.means[1], [-1.0, 0.0, -1.0, 0.0, -1.0])
