@@ -16,7 +16,6 @@ from .mixture import (
     MixtureParams,
     bic,
     cem_fit,
-    component_density_log,
     estep,
     mstep,
     num_params,
@@ -60,7 +59,6 @@ __all__ = [
     "MixtureParams",
     "bic",
     "cem_fit",
-    "component_density_log",
     "estep",
     "mstep",
     "num_params",

@@ -107,24 +107,28 @@ class GramMatrix:
         return self.values.shape[0]
 
 
+def _drop_constant_columns(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """The columns of ``a`` whose sample sd reaches CONSTANT_SD_TOL, and
+    the number of columns dropped."""
+    keep = a.std(axis=0, ddof=1) >= CONSTANT_SD_TOL
+    if not keep.any():
+        raise AllColumnsConstantError("every column has zero sample sd")
+    return a[:, keep], int((~keep).sum())
+
+
 def standardize_columns(x: FeatureMatrix) -> FeatureMatrix:
     """Scale every column to mean 0 and sample sd 1 (denominator N-1).
 
     Constant columns (sample sd below 1e-12) are dropped; the count shows
     up in ``n_dropped_columns`` of the result. Idempotent within 1e-10.
     """
-    a = x.values
-    sds = a.std(axis=0, ddof=1)
-    keep = sds >= CONSTANT_SD_TOL
-    if not keep.any():
-        raise AllColumnsConstantError("every column has zero sample sd")
-    kept = a[:, keep]
+    kept, dropped = _drop_constant_columns(x.values)
     out = (kept - kept.mean(axis=0)) / kept.std(axis=0, ddof=1)
     return FeatureMatrix(
         out,
         standardized=True,
         log_applied=x.log_applied,
-        n_dropped_columns=int((~keep).sum()),
+        n_dropped_columns=dropped,
     )
 
 
@@ -143,17 +147,13 @@ def preprocess_dataset(x: FeatureMatrix) -> FeatureMatrix:
     log_applied = bool(np.all(a > 0.0))
     if log_applied:
         a = np.log(a)
-    sds = a.std(axis=0, ddof=1)
-    keep = sds >= CONSTANT_SD_TOL
-    if not keep.any():
-        raise AllColumnsConstantError("every column has zero sample sd")
-    kept = a[:, keep]
+    kept, dropped = _drop_constant_columns(a)
     out = (kept - np.median(kept, axis=0)) / kept.std(axis=0, ddof=1)
     return FeatureMatrix(
         out,
         standardized=False,
         log_applied=log_applied,
-        n_dropped_columns=int((~keep).sum()),
+        n_dropped_columns=dropped,
     )
 
 

@@ -33,10 +33,6 @@ class EmptyClusterError(GramClustError):
     """A mixture component has no assigned objects."""
 
 
-class SingularCovarianceError(GramClustError):
-    """Covariance log-determinant is not finite after the variance floor."""
-
-
 class LengthMismatchError(GramClustError):
     """Two label vectors have different lengths."""
 

@@ -17,19 +17,13 @@ from typing import Optional
 import numpy as np
 
 from .data import GramMatrix
-from .errors import EmptyClusterError, SingularCovarianceError
+from .errors import EmptyClusterError
 from .hierarchy import ClusterAssignment, canonicalize_labels
 from .transform import AugmentedGram, augment_with_clusters
 
 VARIANCE_FLOOR = 1e-8
 
 _LOG_2PI = math.log(2.0 * math.pi)
-
-# Cap on the difference buffer of _log_joint (512 KB, cache-sized). At
-# N = 60 up to 17 components share one pass; at N = 400 a block is 163
-# rows of one component, and the (K, N, D) tensor (77 MB at K = 20) is
-# never built.
-_BLOCK_DOUBLES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -123,49 +117,23 @@ def bic(loglik: float, nu: int, n: int) -> float:
     return 2.0 * loglik - nu * float(np.log(n))
 
 
-def component_density_log(row, mean, cov) -> float:
-    """log of the diagonal Gaussian density at ``row`` with normalizing
-    dimension D = len(row), computed in log space."""
-    x = np.asarray(row, dtype=np.float64)
-    mu = np.asarray(mean, dtype=np.float64)
-    d = x.shape[0]
-    diff = x - mu
-    v = np.asarray(cov, dtype=np.float64)
-    if np.min(v) <= 0:
-        raise SingularCovarianceError("nonpositive diagonal variance")
-    logdet = float(np.log(v).sum())
-    if not math.isfinite(logdet):
-        raise SingularCovarianceError("diagonal log-determinant not finite")
-    quad = float((diff * diff / v).sum())
-    return -0.5 * (d * _LOG_2PI + logdet + quad)
-
-
 def _log_joint(x: np.ndarray, params: MixtureParams) -> np.ndarray:
     """(N, K) matrix of log w_k plus each component's log density.
 
-    The squared scaled differences are formed in one reused buffer of at
-    most _BLOCK_DOUBLES values: a block of whole components where one
-    component fits, else a block of rows of one component. Each row still
-    sums its D terms in one contiguous reduction. The result is the
+    Components are scored one at a time in one reused (N, D) buffer, each
+    row summing its D terms in one contiguous reduction. The result is the
     transpose of a C-ordered (K, N) array; sums over its components (as in
     mixture_loglik) take their order, and so their bits, from that layout.
     """
     n, d = x.shape
-    k = params.k
     mu, v = params.means, params.covariances
-    rows = max(1, min(n, _BLOCK_DOUBLES // d))
-    comps = max(1, _BLOCK_DOUBLES // (rows * d))
-    buf = np.empty(min(k, comps) * rows * d)
-    quad = np.empty((k, n))
-    for c0 in range(0, k, comps):
-        c1 = min(k, c0 + comps)
-        for r0 in range(0, n, rows):
-            r1 = min(n, r0 + rows)
-            diff = buf[: (c1 - c0) * (r1 - r0) * d].reshape(c1 - c0, r1 - r0, d)
-            np.subtract(x[None, r0:r1], mu[c0:c1, None], out=diff)
-            np.multiply(diff, diff, out=diff)
-            np.divide(diff, v[c0:c1, None], out=diff)
-            quad[c0:c1, r0:r1] = diff.sum(axis=-1)
+    diff = np.empty((n, d))
+    quad = np.empty((params.k, n))
+    for c in range(params.k):
+        np.subtract(x, mu[c], out=diff)
+        diff *= diff
+        diff /= v[c]
+        diff.sum(axis=1, out=quad[c])
     quad += (d * _LOG_2PI + np.log(v).sum(axis=1))[:, None]
     quad *= -0.5
     quad += np.log(params.weights)[:, None]
@@ -212,32 +180,12 @@ def estep(x: np.ndarray, params: MixtureParams) -> np.ndarray:
     return np.argmax(_log_joint(x, params), axis=1).astype(np.int64) + 1
 
 
-def classification_loglik(
-    x: np.ndarray, params: MixtureParams, labels: np.ndarray
-) -> float:
-    """Sum of log w_k + log-density of each row under its assigned
-    component (the quantity each CEM sweep cannot decrease, floor aside)."""
-    joint = _log_joint(np.asarray(x, dtype=np.float64), params)
-    idx = np.asarray(labels, dtype=np.int64) - 1
-    return float(joint[np.arange(joint.shape[0]), idx].sum())
-
-
 def mixture_loglik(x: np.ndarray, params: MixtureParams) -> float:
-    """Full mixture quasi log-likelihood via log-sum-exp.
+    """Full mixture quasi log-likelihood via log-sum-exp over components."""
+    from scipy.special import logsumexp
 
-    Per row this is the arithmetic of scipy.special.logsumexp (scipy 1.17),
-    bit for bit: the m entries tied at the row maximum leave the sum, and
-    the row scores log1p(sum(exp(rest - max)) / m) + log(m) + max. Every
-    entry of the joint matrix is finite here.
-    """
     joint = _log_joint(np.asarray(x, dtype=np.float64), params)
-    top = joint.max(axis=1, keepdims=True)
-    at_top = joint == top
-    ties = at_top.sum(axis=1, keepdims=True)
-    rest = np.exp(joint - top)
-    rest[at_top] = 0.0
-    s = rest.sum(axis=1, keepdims=True) / ties
-    return float((np.log1p(s) + np.log(ties) + top).sum())
+    return float(logsumexp(joint, axis=1).sum())
 
 
 def _reorder_to_canonical(
@@ -261,11 +209,11 @@ def _reorder_to_canonical(
 def cem_fit(
     g: GramMatrix,
     m: AugmentedGram,
-    k: int,
     init: ClusterAssignment,
     max_iter: int = 100,
 ) -> FitResult:
-    """Run classification EM at a fixed K and score the result by BIC.
+    """Run classification EM from ``init`` at its K and score the result
+    by BIC.
 
     The loop runs on the fixed matrix ``m`` until the assignment stops
     changing or ``max_iter`` sweeps elapse. The final assignment then
@@ -277,13 +225,12 @@ def cem_fit(
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    if init.k != k:
-        raise ValueError(f"init declares k={init.k}, expected {k}")
     if init.n_objects != m.n_objects:
         raise ValueError("init length does not match M")
     if (init.sizes() == 0).any():
         raise EmptyClusterError("init must have k non-empty clusters")
 
+    k = init.k
     x = m.values
     labels = init.labels.copy()
     floor_events = 0

@@ -76,10 +76,9 @@ def cluster_features(
 
     Pipeline: (optional preprocessing +) standardization, Gram matrix and
     its one-cluster augmentation, then for K = 1..kmax a Ward-tree cut
-    initializes classification EM (K = 1 needs neither). Per-K fits are
-    independent and may run on ``threads`` workers; the sweep result is
-    deterministic regardless of execution order. ``kmax`` is clamped to N
-    with a warning.
+    initializes classification EM. Per-K fits are independent and may run
+    on ``threads`` workers; the sweep result is deterministic regardless
+    of execution order. ``kmax`` is clamped to N with a warning.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
@@ -101,16 +100,12 @@ def cluster_features(
     timings["gram"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    dendrogram = ward_linkage(m.values) if kmax >= 2 else None
+    dendrogram = ward_linkage(m.values)
     timings["ward"] = time.perf_counter() - t0
 
     def fit_k(k: int):
         t = time.perf_counter()
-        if k == 1:
-            init = ClusterAssignment(np.ones(n, dtype=np.int64), 1)
-        else:
-            init = cut_tree(dendrogram, k)
-        fit = cem_fit(g, m, k, init, max_iter=max_iter)
+        fit = cem_fit(g, m, cut_tree(dendrogram, k), max_iter=max_iter)
         return fit, time.perf_counter() - t
 
     ks = range(1, kmax + 1)

@@ -153,22 +153,23 @@ class BoundInputs:
         return self.sqdev_l1_sqrt / self.p
 
 
-def deviation_bound(b: BoundInputs) -> float:
-    """Closed-form bound on the expected Frobenius distance between the
-    cluster-aware matrix and its expectation (not squared)."""
-    inner = b.n * (
+def _row_bracket(b: BoundInputs) -> float:
+    """P^2 times the bound on one row's expected squared deviation."""
+    return (
         (b.n - 1) * b.cov_l1_sqrt**2 * (2.0 * b.mean_sup + b.sd_sup) ** 2
         + (b.sqdev_l1_sqrt + 2.0 * b.cov_l1_sqrt * b.mean_sup) ** 2
     )
-    return math.sqrt(inner) / b.p
+
+
+def deviation_bound(b: BoundInputs) -> float:
+    """Closed-form bound on the expected Frobenius distance between the
+    cluster-aware matrix and its expectation (not squared)."""
+    return math.sqrt(b.n * _row_bracket(b)) / b.p
 
 
 def row_deviation_bound(b: BoundInputs) -> float:
     """Bound on the expected squared deviation of a single row."""
-    return (
-        (b.n - 1) * b.cov_l1_sqrt**2 * (2.0 * b.mean_sup + b.sd_sup) ** 2
-        + (b.sqdev_l1_sqrt + 2.0 * b.cov_l1_sqrt * b.mean_sup) ** 2
-    ) / b.p**2
+    return _row_bracket(b) / b.p**2
 
 
 @dataclass(frozen=True)
@@ -247,9 +248,7 @@ class ExpectationReport:
     cluster_sizes: tuple
 
 
-def expectation_check(
-    spec: MixtureSpec, n: int, reps: int, labels: Optional[np.ndarray] = None
-) -> ExpectationReport:
+def expectation_check(spec: MixtureSpec, n: int, reps: int) -> ExpectationReport:
     """Compare Monte-Carlo means of the cluster-aware matrix (fixed true
     assignment) and of the off-diagonal Gram entries against their
     predicted expectations."""
@@ -257,10 +256,7 @@ def expectation_check(
         raise ValueError("need reps >= 100")
     root = np.random.SeedSequence(spec.seed)
     label_seq, rep_root = root.spawn(2)
-    if labels is None:
-        lab = _draw_labels_min_size(spec, n, stream(label_seq), 2)
-    else:
-        lab = np.asarray(labels, dtype=np.int64)
+    lab = _draw_labels_min_size(spec, n, stream(label_seq), 2)
     truth = ClusterAssignment(lab, spec.k0)
     expectations = expected_rows(spec, truth)
     rngs = replicate_streams(rep_root, reps)
@@ -335,7 +331,7 @@ class SimulationPlan:
         )
 
 
-def build_spec(plan: SimulationPlan, p: int, seed: Optional[int] = None) -> MixtureSpec:
+def build_spec(plan: SimulationPlan, p: int) -> MixtureSpec:
     """Instantiate the plan's mixture at feature count p."""
     means = np.stack([np.resize(np.asarray(pat, float), p) for pat in plan.mean_patterns])
     variances = np.stack(
@@ -346,7 +342,7 @@ def build_spec(plan: SimulationPlan, p: int, seed: Optional[int] = None) -> Mixt
         weights=np.asarray(plan.weights),
         means=means,
         variances=variances,
-        seed=plan.seed if seed is None else seed,
+        seed=plan.seed,
     )
 
 

@@ -40,6 +40,12 @@ def test_import_does_not_load_scipy_cluster():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_public_names_resolve():
+    import gramclust
+
+    assert [name for name in gramclust.__all__ if not hasattr(gramclust, name)] == []
+
+
 @pytest.fixture(scope="module")
 def fixture_csv(tmp_path_factory):
     """Two-cluster synthetic fixture with a frozen seed and truth labels."""

@@ -10,7 +10,6 @@ from gramclust import (
     GramMatrix,
     bic,
     cem_fit,
-    component_density_log,
     estep,
     gram,
     mstep,
@@ -22,14 +21,33 @@ from gramclust import FeatureMatrix, ami, augment, gen_mixture
 from gramclust.errors import EmptyClusterError
 from gramclust.hierarchy import cut_tree, ward_linkage
 from gramclust.mixture import (
-    _BLOCK_DOUBLES,
     VARIANCE_FLOOR,
     MixtureParams,
     _log_joint,
-    classification_loglik,
     mixture_loglik,
 )
 from tests.conftest import two_cluster_spec
+
+
+def component_density_log(row, mean, cov) -> float:
+    """log of the diagonal Gaussian density at ``row`` with normalizing
+    dimension D = len(row): oracle for one entry of _log_joint."""
+    x = np.asarray(row, dtype=np.float64)
+    mu = np.asarray(mean, dtype=np.float64)
+    d = x.shape[0]
+    diff = x - mu
+    v = np.asarray(cov, dtype=np.float64)
+    logdet = float(np.log(v).sum())
+    quad = float((diff * diff / v).sum())
+    return -0.5 * (d * math.log(2.0 * math.pi) + logdet + quad)
+
+
+def classification_loglik(x, params, labels) -> float:
+    """Sum of log w_k + log-density of each row under its assigned
+    component (the quantity each CEM sweep cannot decrease, floor aside)."""
+    joint = _log_joint(np.asarray(x, dtype=np.float64), params)
+    idx = np.asarray(labels, dtype=np.int64) - 1
+    return float(joint[np.arange(joint.shape[0]), idx].sum())
 
 
 def make_m(values):
@@ -134,7 +152,7 @@ class TestCemFit:
         spec = two_cluster_spec(1.0, 100, seed=1)
         g, m, _ = prepared_instance(spec, 10)
         init = ClusterAssignment(np.ones(10, dtype=np.int64), 1)
-        fit = cem_fit(g, m, 1, init)
+        fit = cem_fit(g, m, init)
         assert fit.converged and fit.iterations == 1
         md = augment_with_clusters(g, fit.labels)
         params = mstep(md.values, fit.labels.labels, fit.labels.k)
@@ -145,7 +163,7 @@ class TestCemFit:
         x = standardize_columns(fm)
         g = gram(x)
         m = augment(g)
-        fit = cem_fit(g, m, 2, truth.canonicalized())
+        fit = cem_fit(g, m, truth.canonicalized())
         assert fit.converged
         assert fit.iterations == 1
         assert ami(truth, fit.labels) == 1.0
@@ -159,7 +177,7 @@ class TestCemFit:
         m = augment(g)
         init_labels = truth.canonicalized().labels.copy()
         init_labels[0] = 3 - init_labels[0]
-        fit = cem_fit(g, m, 2, ClusterAssignment(init_labels, 2))
+        fit = cem_fit(g, m, ClusterAssignment(init_labels, 2))
         assert fit.converged
         assert fit.iterations == 2
         assert ami(truth, fit.labels) == 1.0
@@ -171,7 +189,7 @@ class TestCemFit:
         n = m.n_objects
         for k in (1, 2):
             init = cut_tree(ward_linkage(m.values), k)
-            fit = cem_fit(g, m, k, init)
+            fit = cem_fit(g, m, init)
             assert not fit.degenerate
             assert fit.k == k
             assert fit.bic == bic(fit.loglik, num_params(k, n), n)
@@ -183,8 +201,8 @@ class TestCemFit:
         m = augment(g)
         d = ward_linkage(m.values)
         init = cut_tree(d, 2)
-        f1 = cem_fit(g, m, 2, init)
-        f2 = cem_fit(g, m, 2, init)
+        f1 = cem_fit(g, m, init)
+        f2 = cem_fit(g, m, init)
         assert np.array_equal(f1.labels.labels, f2.labels.labels)
         assert f1.loglik == f2.loglik
         assert np.array_equal(f1.params.means, f2.params.means)
@@ -196,8 +214,8 @@ class TestCemFit:
         m = augment(g)
         init = cut_tree(ward_linkage(m.values), 2)
         swapped = ClusterAssignment(3 - init.labels, 2)
-        f1 = cem_fit(g, m, 2, init)
-        f2 = cem_fit(g, m, 2, swapped)
+        f1 = cem_fit(g, m, init)
+        f2 = cem_fit(g, m, swapped)
         assert np.array_equal(f1.labels.labels, f2.labels.labels)
         # components are permuted back to the canonical label order
         assert np.array_equal(f1.params.weights, f2.params.weights)
@@ -210,7 +228,7 @@ class TestCemFit:
         row = np.array([1.0, 2.0, 3.0, 4.0])
         m = make_m(np.vstack([row, row, row]))
         g = GramMatrix(np.zeros((3, 3)))
-        fit = cem_fit(g, m, 2, ClusterAssignment(np.array([1, 1, 2]), 2))
+        fit = cem_fit(g, m, ClusterAssignment(np.array([1, 1, 2]), 2))
         assert fit.degenerate
         assert fit.k == 2
         assert not fit.converged
@@ -226,7 +244,7 @@ class TestCemFit:
         g = gram(x)
         m = augment(g)
         init = ClusterAssignment(np.array([1, 1, 2, 2]), 2)
-        fit = cem_fit(g, m, 2, init)
+        fit = cem_fit(g, m, init)
         assert fit.degenerate
         assert fit.bic == float("-inf")
         assert np.isfinite(fit.loglik)  # reported for transparency
@@ -266,12 +284,9 @@ class TestCemFit:
 
     def test_log_joint_matches_per_row_density(self):
         rng = np.random.default_rng(17)
-        # N = 300: one component spans several row blocks in _log_joint;
-        # N = 40, K = 6: every component shares one block; N = 60, K = 20:
-        # two blocks of several components
-        assert 300 * 301 > _BLOCK_DOUBLES >= 6 * 40 * 41
-        assert 20 * 60 * 61 > _BLOCK_DOUBLES >= 2 * 60 * 61
-        for n, k in [(300, 5), (40, 6), (60, 20)]:
+        # N = 60, K = 20 and N = 400, K = 20: the wide and tall benchmark
+        # shapes
+        for n, k in [(300, 5), (40, 6), (60, 20), (400, 20)]:
             x = rng.normal(size=(n, n + 1))
             params = MixtureParams(
                 weights=np.full(k, 1.0 / k),
@@ -289,8 +304,8 @@ class TestCemFit:
             ])
             joint = _log_joint(x, params)
             assert np.array_equal(joint, ref)
-            # the layout the broadcast form had, which fixes the summation
-            # order of mixture_loglik's row sums
+            # the layout that fixes the summation order of mixture_loglik's
+            # row sums
             assert joint.T.flags.c_contiguous
 
 
