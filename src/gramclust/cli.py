@@ -159,6 +159,7 @@ def cmd_cluster(input_path: str, config: RunConfig) -> int:
                 "bic": _jsonable(fit.bic),
                 "converged": fit.converged,
                 "degenerate": fit.degenerate,
+                "floor_events": fit.floor_events,
                 "iterations": fit.iterations,
                 "loglik": _jsonable(fit.loglik),
             }

@@ -6,10 +6,17 @@ from the current assignment, all with denominator n_k) and a hard E-step
 (argmax of weighted log-density) on a fixed input matrix. Scoring (the
 quasi log-likelihood and its BIC) happens afterwards on the cluster-aware
 matrix rebuilt from the final assignment.
+
+Every per-cluster quantity depends only on the cluster's members: its
+statistics are reductions over its own rows, in row order, and a
+component's log-joint entry for a row is one contiguous sum over that row.
+A ClusterMemo shares that work between the fits of one K sweep, keyed by
+membership, without changing a bit of any result.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -58,7 +65,15 @@ class MixtureParams:
             raise ValueError("diagonal covariances must be (K, D)")
         if np.min(cov) < VARIANCE_FLOOR:
             raise ValueError("diagonal variance below the floor")
-        for name, arr in (("weights", w), ("means", mu), ("covariances", cov)):
+        if self.floored is None:
+            fl = np.zeros(k, dtype=bool)
+        else:
+            fl = np.asarray(self.floored, dtype=bool).copy()
+        if fl.shape != (k,):
+            raise ValueError("floored must be a K-vector")
+        for name, arr in (
+            ("weights", w), ("means", mu), ("covariances", cov), ("floored", fl)
+        ):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -117,27 +132,142 @@ def bic(loglik: float, nu: int, n: int) -> float:
     return 2.0 * loglik - nu * float(np.log(n))
 
 
-def _log_joint(x: np.ndarray, params: MixtureParams) -> np.ndarray:
+class ClusterMemo:
+    """Per-cluster work shared by the fits of one K sweep.
+
+    Keys are cluster memberships: the bytes of a cluster's sorted row
+    indices. ``*_stats`` map a cluster to its mean and raw scatter;
+    ``*_columns`` map a component to its log-joint column over all N rows
+    and the row owners it was scored under. The ``sweep_`` tables hold
+    work on the sweep's fixed matrix, whose rows never change owner. The
+    ``aware_`` tables hold work on the cluster-aware matrices, whose row i
+    depends only on the members of i's own cluster: so a cluster's
+    statistics there depend only on its members, and a component's entry
+    for row i only on its members and on the cluster that owns row i.
+    Entries are read-only once stored, so fits on several threads may
+    share one memo. A memo is valid for one Gram matrix and its sweep
+    matrix.
+    """
+
+    def __init__(self):
+        self.sweep_stats: dict = {}
+        self.sweep_columns: dict = {}
+        self.aware_stats: dict = {}
+        self.aware_columns: dict = {}
+        self._owners: dict = {}
+        self._ids = itertools.count()
+
+    def owner_id(self, key: bytes) -> int:
+        """An ID unique to the cluster ``key``. The next count is drawn
+        before setdefault runs, so two clusters never share an ID."""
+        return self._owners.setdefault(key, next(self._ids))
+
+
+def _members(labels: np.ndarray, k: int) -> tuple[list, list]:
+    """Sorted row indices of clusters 1..k, and their memo keys."""
+    sizes = np.bincount(labels, minlength=k + 1)[1:]
+    if (sizes == 0).any():
+        empty = int(np.flatnonzero(sizes == 0)[0]) + 1
+        raise EmptyClusterError(f"cluster {empty} is empty")
+    rows = np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1])
+    return rows, [r.tobytes() for r in rows]
+
+
+def _cluster_stats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and raw scatter (denominator n_k) of a cluster's rows, taken in
+    row order; ``rows`` is a scratch copy and is overwritten."""
+    size = rows.shape[0]
+    mean = np.add.reduce(rows, axis=0)
+    mean /= size
+    rows -= mean
+    rows *= rows
+    raw = np.add.reduce(rows, axis=0)
+    raw /= size
+    mean.setflags(write=False)
+    raw.setflags(write=False)
+    return mean, raw
+
+
+def _mstep(x: np.ndarray, rows: list, keys: list, stats: dict) -> MixtureParams:
+    """The M-step on clusters given by their rows, reusing ``stats``."""
+    n, d = x.shape
+    k = len(rows)
+    means = np.empty((k, d))
+    raw = np.empty((k, d))
+    for j, (idx, key) in enumerate(zip(rows, keys)):
+        entry = stats.get(key)
+        if entry is None:
+            entry = stats.setdefault(key, _cluster_stats(x[idx]))
+        means[j], raw[j] = entry
+    sizes = np.array([idx.size for idx in rows])
+    floored = (raw < VARIANCE_FLOOR).any(axis=1)
+    return MixtureParams(sizes / n, means, np.maximum(raw, VARIANCE_FLOOR), floored=floored)
+
+
+def _log_joint(
+    x: np.ndarray,
+    params: MixtureParams,
+    keys: Optional[list] = None,
+    columns: Optional[dict] = None,
+    owners: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """(N, K) matrix of log w_k plus each component's log density.
 
     Components are scored one at a time in one reused (N, D) buffer, each
     row summing its D terms in one contiguous reduction. The result is the
     transpose of a C-ordered (K, N) array; sums over its components (as in
     mixture_loglik) take their order, and so their bits, from that layout.
+
+    ``columns`` holds earlier columns under the components' ``keys``. A
+    stored column is reused whole when ``owners`` is None; otherwise only
+    the rows whose owner differs from the one it was scored under are
+    scored again.
     """
     n, d = x.shape
+    keys = range(params.k) if keys is None else keys
+    columns = {} if columns is None else columns
     mu, v = params.means, params.covariances
+    norm = d * _LOG_2PI + np.log(v).sum(axis=1)
+    log_w = np.log(params.weights)
     diff = np.empty((n, d))
-    quad = np.empty((params.k, n))
-    for c in range(params.k):
-        np.subtract(x, mu[c], out=diff)
-        diff *= diff
-        diff /= v[c]
-        diff.sum(axis=1, out=quad[c])
-    quad += (d * _LOG_2PI + np.log(v).sum(axis=1))[:, None]
-    quad *= -0.5
-    quad += np.log(params.weights)[:, None]
-    return quad.T
+    joint = np.empty((params.k, n))
+    for c, key in enumerate(keys):
+        entry = columns.get(key)
+        if entry is None:
+            stale, part = slice(None), x
+        else:
+            joint[c] = entry[0]
+            if owners is None:
+                continue
+            stale = np.flatnonzero(entry[1] != owners)
+            if stale.size == 0:
+                continue
+            part = x[stale]
+        buf = diff[: part.shape[0]]
+        np.subtract(part, mu[c], out=buf)
+        buf *= buf
+        buf /= v[c]
+        scored = buf.sum(axis=1)
+        scored += norm[c]
+        scored *= -0.5
+        scored += log_w[c]
+        joint[c, stale] = scored
+        stored = joint[c].copy()
+        stored.setflags(write=False)
+        columns[key] = (stored, owners)
+    return joint.T
+
+
+def _hard_labels(joint: np.ndarray) -> np.ndarray:
+    """Each row's argmax component, 1-based; ties go to the smallest."""
+    return np.argmax(joint, axis=1).astype(np.int64) + 1
+
+
+def _total_loglik(joint: np.ndarray) -> float:
+    """Sum over rows of the log-sum-exp over components."""
+    from scipy.special import logsumexp
+
+    return float(logsumexp(joint, axis=1).sum())
 
 
 def mstep(x: np.ndarray, labels: np.ndarray, k: int) -> MixtureParams:
@@ -145,29 +275,9 @@ def mstep(x: np.ndarray, labels: np.ndarray, k: int) -> MixtureParams:
     within-cluster means and diagonal variances (denominator n_k), floored
     at 1e-8.
 
-    The rows are sorted by label once (stably, so each cluster keeps its
-    row order) and every cluster is reduced over its contiguous slice.
+    Each cluster is reduced over its own rows, in row order.
     """
-    n, d = x.shape
-    sizes = np.bincount(labels, minlength=k + 1)[1:]
-    if (sizes == 0).any():
-        empty = int(np.flatnonzero(sizes == 0)[0]) + 1
-        raise EmptyClusterError(f"cluster {empty} is empty")
-    xs = x[np.argsort(labels, kind="stable")]
-    means = np.empty((k, d))
-    raw = np.empty((k, d))
-    start = 0
-    for j, size in enumerate(sizes.tolist()):
-        rows = xs[start : start + size]
-        start += size
-        np.add.reduce(rows, axis=0, out=means[j])
-        means[j] /= size
-        rows -= means[j]
-        rows *= rows
-        np.add.reduce(rows, axis=0, out=raw[j])
-    raw /= sizes[:, None]
-    floored = (raw < VARIANCE_FLOOR).any(axis=1)
-    return MixtureParams(sizes / n, means, np.maximum(raw, VARIANCE_FLOOR), floored=floored)
+    return _mstep(x, *_members(labels, k), {})
 
 
 def estep(x: np.ndarray, params: MixtureParams) -> np.ndarray:
@@ -177,15 +287,12 @@ def estep(x: np.ndarray, params: MixtureParams) -> np.ndarray:
     indexing of ``params`` (canonicalization happens once, at the end of
     cem_fit); a component may come back empty.
     """
-    return np.argmax(_log_joint(x, params), axis=1).astype(np.int64) + 1
+    return _hard_labels(_log_joint(x, params))
 
 
 def mixture_loglik(x: np.ndarray, params: MixtureParams) -> float:
     """Full mixture quasi log-likelihood via log-sum-exp over components."""
-    from scipy.special import logsumexp
-
-    joint = _log_joint(np.asarray(x, dtype=np.float64), params)
-    return float(logsumexp(joint, axis=1).sum())
+    return _total_loglik(_log_joint(np.asarray(x, dtype=np.float64), params))
 
 
 def _reorder_to_canonical(
@@ -211,6 +318,7 @@ def cem_fit(
     m: AugmentedGram,
     init: ClusterAssignment,
     max_iter: int = 100,
+    memo: Optional[ClusterMemo] = None,
 ) -> FitResult:
     """Run classification EM from ``init`` at its K and score the result
     by BIC.
@@ -222,6 +330,9 @@ def cem_fit(
     log-likelihood of its rows and ``bic`` scores it with num_params(k, N)
     free parameters. An E-step that empties a component aborts the fit as
     degenerate, as does a collapsed final component.
+
+    ``memo`` shares per-cluster work with the other fits on the same ``g``
+    and ``m``; the result is the same with or without it.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -230,6 +341,7 @@ def cem_fit(
     if (init.sizes() == 0).any():
         raise EmptyClusterError("init must have k non-empty clusters")
 
+    memo = ClusterMemo() if memo is None else memo
     k = init.k
     x = m.values
     labels = init.labels.copy()
@@ -238,11 +350,12 @@ def cem_fit(
     converged = False
     emptied = False
     for _ in range(max_iter):
-        params = mstep(x, labels, k)
+        rows, keys = _members(labels, k)
+        params = _mstep(x, rows, keys, memo.sweep_stats)
         iterations += 1
         if params.floored.any():
             floor_events += 1
-        new = estep(x, params)
+        new = _hard_labels(_log_joint(x, params, keys, memo.sweep_columns))
         if (np.bincount(new, minlength=k + 1)[1:] == 0).any():
             emptied = True
             break
@@ -255,9 +368,14 @@ def cem_fit(
         loglik = float("-inf")
         degenerate = True
     else:
-        aug_c = augment_with_clusters(g, ClusterAssignment(labels, k))
-        params = mstep(aug_c.values, labels, k)
-        loglik = mixture_loglik(aug_c.values, params)
+        aug = augment_with_clusters(g, ClusterAssignment(labels, k)).values
+        rows, keys = _members(labels, k)
+        owners = np.empty(m.n_objects, dtype=np.int64)
+        for idx, key in zip(rows, keys):
+            owners[idx] = memo.owner_id(key)
+        owners.setflags(write=False)
+        params = _mstep(aug, rows, keys, memo.aware_stats)
+        loglik = _total_loglik(_log_joint(aug, params, keys, memo.aware_columns, owners))
         degenerate = bool(params.floored.any())
     n = m.n_objects
     score = float("-inf") if degenerate else bic(loglik, num_params(k, n), n)

@@ -3,7 +3,9 @@
 For each candidate K the driver initializes from the Ward tree over the
 rows of the augmented Gram matrix and runs classification EM, which
 scores its fit by BIC on the cluster-aware matrix; the K with the largest
-finite score wins, ties going to the smaller K.
+finite score wins, ties going to the smaller K. The per-K fits share one
+ClusterMemo: the Ward cuts are nested, so most clusters of one fit were
+already fitted and scored at a smaller K.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from .data import FeatureMatrix, gram, preprocess_dataset, standardize_columns
 from .errors import AllFitsDegenerateError
 from .hierarchy import ClusterAssignment, cut_tree, ward_linkage
-from .mixture import cem_fit
+from .mixture import ClusterMemo, cem_fit
 from .transform import augment
 
 PREPROCESS_STANDARDIZE = "standardize"
@@ -76,9 +78,11 @@ def cluster_features(
 
     Pipeline: (optional preprocessing +) standardization, Gram matrix and
     its one-cluster augmentation, then for K = 1..kmax a Ward-tree cut
-    initializes classification EM. Per-K fits are independent and may run
-    on ``threads`` workers; the sweep result is deterministic regardless
-    of execution order. ``kmax`` is clamped to N with a warning.
+    initializes classification EM. The per-K fits share one memo of
+    per-cluster work and may run on ``threads`` workers; every fit, and so
+    the sweep result, is bit-identical whatever the execution order, but
+    each fit's time in ``timings["fit_per_k"]`` depends on what earlier
+    fits left in the memo. ``kmax`` is clamped to N with a warning.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
@@ -103,9 +107,11 @@ def cluster_features(
     dendrogram = ward_linkage(m.values)
     timings["ward"] = time.perf_counter() - t0
 
+    memo = ClusterMemo()
+
     def fit_k(k: int):
         t = time.perf_counter()
-        fit = cem_fit(g, m, cut_tree(dendrogram, k), max_iter=max_iter)
+        fit = cem_fit(g, m, cut_tree(dendrogram, k), max_iter=max_iter, memo=memo)
         return fit, time.perf_counter() - t
 
     ks = range(1, kmax + 1)

@@ -18,6 +18,22 @@ def two_cluster_spec(amplitude: float, p: int, seed: int = 0,
     )
 
 
+def assert_same_fit(a, b):
+    """Every field of two FitResults is equal, bit for bit."""
+    arrays = lambda f: (
+        f.labels.labels, f.params.weights, f.params.means,
+        f.params.covariances, f.params.floored,
+    )
+    for x, y in zip(arrays(a), arrays(b)):
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
+    assert a.labels.k == b.labels.k
+    for name in ("loglik", "bic"):
+        assert np.float64(getattr(a, name)).tobytes() == np.float64(getattr(b, name)).tobytes()
+    for name in ("iterations", "converged", "degenerate", "floor_events"):
+        assert getattr(a, name) == getattr(b, name), name
+
+
 @pytest.fixture
 def separated_instance():
     """Moderately separated two-cluster draw where CEM behaves textbook-style."""

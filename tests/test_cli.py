@@ -80,6 +80,17 @@ class TestCluster:
         res = json.loads((out / "result.json").read_text())
         jsonschema.validate(res, schema)
 
+    def test_floor_events_written(self, fixture_csv, tmp_path):
+        from gramclust import cluster_features, read_feature_csv
+
+        out = tmp_path / "out"
+        assert main(["cluster", fixture_csv, "--output-dir", str(out)]) == 0
+        trace = json.loads((out / "result.json").read_text())["bic_trace"]
+        written = [e["floor_events"] for e in trace]
+        fits = cluster_features(read_feature_csv(fixture_csv).matrix).fits
+        assert written == [f.floor_events for f in fits]
+        assert max(written) > 0
+
     def test_kmax_one(self, fixture_csv, tmp_path):
         out = tmp_path / "out"
         assert main(["cluster", fixture_csv, "--output-dir", str(out), "--kmax", "1"]) == 0

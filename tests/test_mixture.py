@@ -22,11 +22,13 @@ from gramclust.errors import EmptyClusterError
 from gramclust.hierarchy import cut_tree, ward_linkage
 from gramclust.mixture import (
     VARIANCE_FLOOR,
+    ClusterMemo,
     MixtureParams,
     _log_joint,
+    _reorder_to_canonical,
     mixture_loglik,
 )
-from tests.conftest import two_cluster_spec
+from tests.conftest import assert_same_fit, two_cluster_spec
 
 
 def component_density_log(row, mean, cov) -> float:
@@ -76,6 +78,38 @@ class TestDensity:
         cov = np.array([4.0, 1.0, 1.0, 1.0, 1.0])
         val = component_density_log(row, mean, cov)
         assert val == pytest.approx(-5.787839846583308, abs=1e-12)
+
+
+class TestMixtureParams:
+    def params(self, floored=None):
+        return MixtureParams(
+            weights=np.array([0.25, 0.75]),
+            means=np.array([[0.0, 1.0], [2.0, 3.0]]),
+            covariances=np.ones((2, 2)),
+            floored=floored,
+        )
+
+    def test_floored_defaults_to_none_floored(self):
+        floored = self.params().floored
+        assert floored.dtype == bool
+        np.testing.assert_array_equal(floored, [False, False])
+
+    @pytest.mark.parametrize("floored", [[True], [[True, False]], [True, False, True]])
+    def test_floored_shape_checked(self, floored):
+        with pytest.raises(ValueError, match="floored"):
+            self.params(floored)
+
+    def test_fields_read_only(self):
+        params = self.params([True, False])
+        for name in ("weights", "means", "covariances", "floored"):
+            with pytest.raises(ValueError):
+                getattr(params, name)[0] = 0
+
+    def test_reorder_hand_built(self):
+        labels, params = _reorder_to_canonical(np.array([2, 1, 2]), self.params([False, True]))
+        np.testing.assert_array_equal(labels.labels, [1, 2, 1])
+        np.testing.assert_array_equal(params.floored, [True, False])
+        np.testing.assert_array_equal(params.weights, [0.75, 0.25])
 
 
 class TestMstep:
@@ -373,3 +407,108 @@ class TestKernelOracle:
             )
             joint = _log_joint(x, params)
             assert mixture_loglik(x, params) == float(logsumexp(joint, axis=1).sum())
+
+
+class TestClusterMemo:
+    def test_stale_rows_rescored(self):
+        # rows 3 and 7 change owner (and value); every other row keeps both,
+        # so the stored columns are reused there and rescored at 3 and 7
+        rng = np.random.default_rng(31)
+        n, k = 12, 3
+        x1 = rng.normal(size=(n, n + 1))
+        x2 = x1.copy()
+        x2[[3, 7]] = rng.normal(size=(2, n + 1))
+        owners1 = np.zeros(n, dtype=np.int64)
+        owners2 = owners1.copy()
+        owners2[[3, 7]] = 1
+        params = MixtureParams(
+            np.full(k, 1.0 / k), rng.normal(size=(k, n + 1)),
+            rng.uniform(0.5, 2.0, size=(k, n + 1)),
+        )
+        columns: dict = {}
+        keys = [b"a", b"b", b"c"]
+        first = _log_joint(x1, params, keys, columns, owners1)
+        assert first.tobytes() == _log_joint(x1, params).tobytes()
+        again = _log_joint(x2, params, keys, columns, owners2)
+        assert again.T.flags.c_contiguous
+        assert again.tobytes() == _log_joint(x2, params).tobytes()
+        # with unchanged owners the stored rows are trusted as they are
+        kept = _log_joint(x1, params, keys, columns, owners2)
+        assert kept.tobytes() == again.tobytes()
+        assert all(not col.flags.writeable for col, _ in columns.values())
+
+    def test_owner_ids_unique_across_threads(self):
+        # each thread draws IDs for its own clusters and for clusters every
+        # thread shares, all starting at once
+        import sys
+        import threading
+
+        memo = ClusterMemo()
+        shared = [np.array([-1, i]).tobytes() for i in range(500)]
+        orders = [
+            [key for i in range(500) for key in (np.array([t, i]).tobytes(), shared[i])]
+            for t in range(8)
+        ]
+        ids = [None] * 8
+        start = threading.Barrier(8, timeout=60)
+
+        def work(t):
+            start.wait()
+            ids[t] = {key: memo.owner_id(key) for key in orders[t]}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert all(seen[key] == ids[0][key] for seen in ids for key in shared)
+        merged = {key: i for seen in ids for key, i in seen.items()}
+        assert len(merged) == 8 * 500 + 500
+        assert len(set(merged.values())) == len(merged)
+
+    def test_shared_memo_matches_fresh(self):
+        # non-nested random partitions that keep some clusters of a base
+        # partition and redraw the rest; one memo serves every fit
+        rng = np.random.default_rng(32)
+        p = 400
+        means = np.vstack([4.0 * np.ones(p), -4.0 * np.ones(p),
+                           np.where(np.arange(p) % 2 == 0, 4.0, -4.0)])
+        from gramclust import MixtureSpec
+
+        spec = MixtureSpec(k0=3, weights=[0.4, 0.35, 0.25], means=means,
+                           variances=np.ones((3, p)), seed=33)
+        fm, truth = gen_mixture(spec, 60)
+        g = gram(standardize_columns(fm))
+        m = augment(g)
+        base = truth.canonicalized().labels
+        memo = ClusterMemo()
+        fits = []
+        for trial in range(24):
+            keep = rng.random(3) < 0.5
+            labels = base.copy()
+            redraw = ~keep[base - 1]
+            extra = int(rng.integers(1, 4))
+            labels[redraw] = 4 + rng.integers(0, extra, size=int(redraw.sum()))
+            init = ClusterAssignment.from_raw(labels)
+            max_iter = int(rng.integers(1, 4))
+            shared = cem_fit(g, m, init, max_iter=max_iter, memo=memo)
+            assert_same_fit(shared, cem_fit(g, m, init, max_iter=max_iter))
+            fits.append(shared)
+        # some fit reused a component whose stored column was scored under
+        # a different partition, so its stale rows were scored again
+        stale_reuse = 0
+        parts = [
+            {frozenset(np.flatnonzero(f.labels.labels == c)) for c in range(1, f.k + 1)}
+            for f in fits if not f.degenerate or np.isfinite(f.loglik)
+        ]
+        for j, part in enumerate(parts):
+            for cluster in part:
+                earlier = [q for q in parts[:j] if cluster in q]
+                stale_reuse += bool(earlier) and earlier[-1] != part
+        assert stale_reuse > 0

@@ -5,10 +5,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gramclust import ami, bic, gen_mixture, cluster_features, num_params
+from gramclust import (
+    MixtureSpec, ami, augment, bic, cem_fit, cluster_features, cut_tree,
+    gen_mixture, gram, num_params,
+)
 from gramclust.errors import AllFitsDegenerateError
-from gramclust.select import ClusterOutput
-from tests.conftest import two_cluster_spec
+from gramclust.hierarchy import ward_linkage
+from gramclust.select import ClusterOutput, _prepare
+from tests.conftest import assert_same_fit, two_cluster_spec
+
+
+def null_spec(p: int, seed: int) -> MixtureSpec:
+    return MixtureSpec(k0=1, weights=[1.0], means=np.zeros((1, p)),
+                       variances=np.ones((1, p)), seed=seed)
 
 
 class TestNumParams:
@@ -110,13 +119,18 @@ class TestGmcluster:
         assert wins == 9
 
     def test_threads_do_not_change_result(self):
-        spec = two_cluster_spec(6.0, 1000, seed=8)
-        fm, _ = gen_mixture(spec, 24)
-        a = cluster_features(fm, kmax=10, preprocess="standardize", threads=1)
-        b = cluster_features(fm, kmax=10, preprocess="standardize", threads=4)
-        assert a.k_hat == b.k_hat
-        assert np.array_equal(a.labels.labels, b.labels.labels)
-        assert [f.bic for f in a.fits] == [f.bic for f in b.fits]
+        cases = [
+            (two_cluster_spec(6.0, 1000, seed=8), 100),
+            (null_spec(800, seed=81), 120),
+            (two_cluster_spec(2.5, 600, seed=82, weights=(0.7, 0.3)), 150),
+        ]
+        for spec, n in cases:
+            fm, _ = gen_mixture(spec, n)
+            a = cluster_features(fm, kmax=20, preprocess="standardize", threads=1)
+            b = cluster_features(fm, kmax=20, preprocess="standardize", threads=4)
+            assert a.k_hat == b.k_hat
+            for fa, fb in zip(a.fits, b.fits, strict=True):
+                assert_same_fit(fa, fb)
 
     def test_selected_fit_never_degenerate(self):
         spec = two_cluster_spec(6.0, 800, seed=9)
@@ -161,3 +175,22 @@ class TestGmcluster:
             out = cluster_features(fm, kmax=12, preprocess="standardize")
             wins += out.k_hat == 3 and ami(truth, out.labels) == 1.0
         assert wins == 5
+
+
+class TestSharedMemo:
+    """The sweep's shared memo changes no bit of any fit."""
+
+    @pytest.mark.parametrize("spec, n, multi_iteration", [
+        (null_spec(2000, seed=91), 400, True),
+        (two_cluster_spec(1.5, 500, seed=92), 120, False),
+    ])
+    def test_sweep_matches_fits_without_memo(self, spec, n, multi_iteration):
+        fm, _ = gen_mixture(spec, n)
+        out = cluster_features(fm, kmax=20, preprocess="paper")
+        g = gram(_prepare(fm, "paper"))
+        m = augment(g)
+        dendrogram = ward_linkage(m.values)
+        for k, fit in enumerate(out.fits, start=1):
+            assert_same_fit(fit, cem_fit(g, m, cut_tree(dendrogram, k)))
+        if multi_iteration:
+            assert max(f.iterations for f in out.fits) > 1
