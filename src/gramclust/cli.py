@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional
 
 from . import __version__
 from .data import read_feature_csv
@@ -35,73 +35,79 @@ _PREPROCESS_MODES = (PREPROCESS_STANDARDIZE, PREPROCESS_PAPER)
 _AMI_NORMS = (NORM_MEAN, NORM_MAX)
 
 
-@dataclass
-class RunConfig:
-    """Resolved run configuration (flags > environment > defaults)."""
+class _Setting(NamedTuple):
+    """One setting ``name``: flag --name, environment variable
+    GRAMCLUST_NAME. ``cast`` turns the flag's or variable's text into a
+    value, which must be one of ``choices`` or pass ``check``."""
 
-    kmax: int = DEFAULT_KMAX
-    max_iter: int = DEFAULT_MAX_ITER
-    preprocess: str = PREPROCESS_PAPER
-    ami_norm: str = NORM_MEAN
-    threads: int = 1
-    delimiter: str = ","
-    output_dir: str = "."
-
-    def validate(self) -> None:
-        if self.kmax < 1:
-            raise ConfigError("kmax must be >= 1")
-        if self.max_iter < 1:
-            raise ConfigError("max_iter must be >= 1")
-        if self.preprocess not in _PREPROCESS_MODES:
-            raise ConfigError(f"preprocess must be one of {_PREPROCESS_MODES}")
-        if self.ami_norm not in _AMI_NORMS:
-            raise ConfigError(f"ami_norm must be one of {_AMI_NORMS}")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
-        if len(self.delimiter) != 1:
-            raise ConfigError("delimiter must be a single character")
-
-    def as_dict(self) -> dict:
-        """Config echo for result files; output_dir is where the artifact
-        lives, not an algorithmic input, so it stays out."""
-        d = dataclasses.asdict(self)
-        d.pop("output_dir")
-        return d
+    default: object
+    cast: Callable = str
+    check: Callable = lambda value: True
+    rule: str = ""
+    choices: Optional[tuple] = None
+    help: Optional[str] = None
 
 
-def _resolve(flag_value, env_name: str, default, cast):
-    if flag_value is not None:
-        return flag_value
-    raw = os.environ.get(_ENV_PREFIX + env_name)
-    if raw is not None:
-        try:
-            return cast(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad {_ENV_PREFIX}{env_name}={raw!r}: {exc}") from exc
-    return default
+_SETTINGS = {
+    "kmax": _Setting(DEFAULT_KMAX, int, lambda v: v >= 1, "must be >= 1"),
+    "max_iter": _Setting(DEFAULT_MAX_ITER, int, lambda v: v >= 1, "must be >= 1"),
+    "preprocess": _Setting(PREPROCESS_PAPER, choices=_PREPROCESS_MODES),
+    "ami_norm": _Setting(NORM_MEAN, choices=_AMI_NORMS),
+    "threads": _Setting(
+        1, lambda raw: (os.cpu_count() or 1) if raw == "auto" else int(raw),
+        lambda v: v >= 1, "must be >= 1",
+        help="worker threads for the K sweep (default 1), or 'auto'"),
+    "delimiter": _Setting(",", check=lambda v: len(v) == 1,
+                          rule="must be a single character"),
+    "output_dir": _Setting("."),
+}
+
+# The settings each command reads: the only ones it parses, reads from the
+# environment, checks and echoes. simulate reads no threads; it keeps
+# --threads and its echo only until the K-sweep pool goes (ROADMAP item 5),
+# because perfbench/run.py passes --threads to every command when
+# os.cpu_count() > nproc, and perfbench/tests asserts config.threads >= 1
+# in simulate's report.json.
+_COMMAND_SETTINGS = {
+    "cluster": tuple(_SETTINGS),
+    "eval": ("ami_norm", "delimiter"),
+    "simulate": ("output_dir", "threads"),
+}
 
 
-def _threads_cast(raw) -> int:
-    if raw == "auto":
-        return os.cpu_count() or 1
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _resolve(name: str, flag_value: Optional[str]):
+    setting = _SETTINGS[name]
+    source, raw = _flag(name), flag_value
+    if raw is None:
+        source = _ENV_PREFIX + name.upper()
+        raw = os.environ.get(source)
+    if raw is None:
+        return setting.default
     try:
-        return int(raw)
+        value = setting.cast(raw)
     except ValueError as exc:
-        raise ConfigError(f"threads must be an integer or 'auto', got {raw!r}") from exc
+        raise ConfigError(f"bad {source}={raw!r}: {exc}") from exc
+    if setting.choices is not None and value not in setting.choices:
+        raise ConfigError(f"{name} must be one of {setting.choices}")
+    if not setting.check(value):
+        raise ConfigError(f"{name} {setting.rule}")
+    return value
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(
-        kmax=_resolve(args.kmax, "KMAX", DEFAULT_KMAX, int),
-        max_iter=_resolve(args.max_iter, "MAX_ITER", DEFAULT_MAX_ITER, int),
-        preprocess=_resolve(args.preprocess, "PREPROCESS", PREPROCESS_PAPER, str),
-        ami_norm=_resolve(args.ami_norm, "AMI_NORM", NORM_MEAN, str),
-        threads=_threads_cast(_resolve(args.threads, "THREADS", "1", str)),
-        delimiter=_resolve(args.delimiter, "DELIMITER", ",", str),
-        output_dir=_resolve(getattr(args, "output_dir", None), "OUTPUT_DIR", ".", str),
-    )
-    cfg.validate()
-    return cfg
+def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
+    """The settings of ``args.command``: flags > environment > defaults."""
+    return argparse.Namespace(**{name: _resolve(name, getattr(args, name))
+                                 for name in _COMMAND_SETTINGS[args.command]})
+
+
+def _echo(config: argparse.Namespace) -> dict:
+    """Config echo for result files; output_dir is where the artifact
+    lives, not an algorithmic input, so it stays out."""
+    return {name: value for name, value in vars(config).items() if name != "output_dir"}
 
 
 def _jsonable(x):
@@ -115,7 +121,7 @@ def _dump_json(path: str, payload: dict) -> None:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def cmd_cluster(input_path: str, config: RunConfig) -> int:
+def cmd_cluster(input_path: str, config: argparse.Namespace) -> int:
     parsed = read_feature_csv(input_path, delimiter=config.delimiter)
     fm = parsed.matrix
     out = cluster_features(
@@ -165,7 +171,7 @@ def cmd_cluster(input_path: str, config: RunConfig) -> int:
             }
             for fit in out.fits
         ],
-        "config": config.as_dict(),
+        "config": _echo(config),
         "timings": out.timings,
     }
     _dump_json(os.path.join(config.output_dir, "result.json"), payload)
@@ -194,7 +200,7 @@ def _read_assignment_csv(path: str, delimiter: str = ",") -> dict:
     return mapping
 
 
-def cmd_eval(pred_path: str, truth_path: str, config: RunConfig) -> int:
+def cmd_eval(pred_path: str, truth_path: str, config: argparse.Namespace) -> int:
     pred = _read_assignment_csv(pred_path, config.delimiter)
     truth = _read_assignment_csv(truth_path, config.delimiter)
     if set(pred) != set(truth):
@@ -232,7 +238,7 @@ def _validate_plan(raw: dict) -> SimulationPlan:
     return plan
 
 
-def cmd_simulate(plan_path: str, config: RunConfig) -> int:
+def cmd_simulate(plan_path: str, config: argparse.Namespace) -> int:
     with open(plan_path) as fh:
         try:
             raw = json.load(fh)
@@ -263,7 +269,7 @@ def cmd_simulate(plan_path: str, config: RunConfig) -> int:
             "on min cluster size 2 so the restricted same-cluster average "
             "is always defined"
         ),
-        "config": config.as_dict(),
+        "config": _echo(config),
     }
     _dump_json(os.path.join(config.output_dir, "report.json"), payload)
     bounded = all(pt.mse_mean <= pt.bound_sq for pt in report.points)
@@ -274,16 +280,11 @@ def cmd_simulate(plan_path: str, config: RunConfig) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kmax", type=int, default=None)
-    parser.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-    parser.add_argument("--preprocess", choices=_PREPROCESS_MODES, default=None)
-    parser.add_argument("--ami-norm", dest="ami_norm", choices=_AMI_NORMS,
-                        default=None)
-    parser.add_argument("--threads", default=None,
-                        help="worker threads for the K sweep (default 1), or 'auto'")
-    parser.add_argument("--delimiter", default=None)
-    parser.add_argument("--output-dir", dest="output_dir", default=None)
+def _add_settings(parser: argparse.ArgumentParser, command: str) -> None:
+    for name in _COMMAND_SETTINGS[command]:
+        setting = _SETTINGS[name]
+        parser.add_argument(_flag(name), dest=name, choices=setting.choices,
+                            help=setting.help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -296,16 +297,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cluster = sub.add_parser("cluster", help="cluster a feature CSV")
     p_cluster.add_argument("input", help="CSV with rows=objects, columns=features")
-    _add_common(p_cluster)
+    _add_settings(p_cluster, "cluster")
 
     p_eval = sub.add_parser("eval", help="AMI between two assignment CSVs")
     p_eval.add_argument("pred")
     p_eval.add_argument("truth")
-    _add_common(p_eval)
+    _add_settings(p_eval, "eval")
 
     p_sim = sub.add_parser("simulate", help="run the concentration harness")
     p_sim.add_argument("plan", help="simulation plan JSON")
-    _add_common(p_sim)
+    _add_settings(p_sim, "simulate")
 
     return parser
 
@@ -318,9 +319,7 @@ def main(argv=None) -> int:
             return cmd_cluster(args.input, config)
         if args.command == "eval":
             return cmd_eval(args.pred, args.truth, config)
-        if args.command == "simulate":
-            return cmd_simulate(args.plan, config)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_simulate(args.plan, config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

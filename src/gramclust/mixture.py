@@ -16,7 +16,6 @@ membership, without changing a bit of any result.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -81,10 +80,6 @@ class MixtureParams:
     def k(self) -> int:
         return self.means.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.means.shape[1]
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -138,9 +133,9 @@ class ClusterMemo:
     Keys are cluster memberships: the bytes of a cluster's sorted row
     indices. ``*_stats`` map a cluster to its mean and raw scatter;
     ``*_columns`` map a component to its log-joint column over all N rows
-    and the row owners it was scored under. The ``sweep_`` tables hold
-    work on the sweep's fixed matrix, whose rows never change owner. The
-    ``aware_`` tables hold work on the cluster-aware matrices, whose row i
+    and the set of cluster keys it was scored under. The ``sweep_`` tables
+    hold work on the sweep's fixed matrix, whose rows never change owner.
+    The ``aware_`` tables hold work on the cluster-aware matrices, whose row i
     depends only on the members of i's own cluster: so a cluster's
     statistics there depend only on its members, and a component's entry
     for row i only on its members and on the cluster that owns row i.
@@ -154,13 +149,6 @@ class ClusterMemo:
         self.sweep_columns: dict = {}
         self.aware_stats: dict = {}
         self.aware_columns: dict = {}
-        self._owners: dict = {}
-        self._ids = itertools.count()
-
-    def owner_id(self, key: bytes) -> int:
-        """An ID unique to the cluster ``key``. The next count is drawn
-        before setdefault runs, so two clusters never share an ID."""
-        return self._owners.setdefault(key, next(self._ids))
 
 
 def _members(labels: np.ndarray, k: int) -> tuple[list, list]:
@@ -209,7 +197,7 @@ def _log_joint(
     params: MixtureParams,
     keys: Optional[list] = None,
     columns: Optional[dict] = None,
-    owners: Optional[np.ndarray] = None,
+    rows: Optional[list] = None,
 ) -> np.ndarray:
     """(N, K) matrix of log w_k plus each component's log density.
 
@@ -219,9 +207,11 @@ def _log_joint(
     mixture_loglik) take their order, and so their bits, from that layout.
 
     ``columns`` holds earlier columns under the components' ``keys``. A
-    stored column is reused whole when ``owners`` is None; otherwise only
-    the rows whose owner differs from the one it was scored under are
-    scored again.
+    stored column is reused whole when ``rows`` is None. Otherwise the
+    components are the clusters of a partition, ``rows`` their members,
+    and only the rows of clusters outside the partition a column was
+    scored under are scored again: a row of a cluster inside it was scored
+    with that same cluster.
     """
     n, d = x.shape
     keys = range(params.k) if keys is None else keys
@@ -231,17 +221,19 @@ def _log_joint(
     log_w = np.log(params.weights)
     diff = np.empty((n, d))
     joint = np.empty((params.k, n))
+    owners = None if rows is None else frozenset(keys)
     for c, key in enumerate(keys):
         entry = columns.get(key)
         if entry is None:
             stale, part = slice(None), x
         else:
             joint[c] = entry[0]
-            if owners is None:
+            if rows is None:
                 continue
-            stale = np.flatnonzero(entry[1] != owners)
-            if stale.size == 0:
+            stale = [idx for idx, owner in zip(rows, keys) if owner not in entry[1]]
+            if not stale:
                 continue
+            stale = np.concatenate(stale)
             part = x[stale]
         buf = diff[: part.shape[0]]
         np.subtract(part, mu[c], out=buf)
@@ -338,8 +330,6 @@ def cem_fit(
         raise ValueError("max_iter must be >= 1")
     if init.n_objects != m.n_objects:
         raise ValueError("init length does not match M")
-    if (init.sizes() == 0).any():
-        raise EmptyClusterError("init must have k non-empty clusters")
 
     memo = ClusterMemo() if memo is None else memo
     k = init.k
@@ -370,12 +360,8 @@ def cem_fit(
     else:
         aug = augment_with_clusters(g, ClusterAssignment(labels, k)).values
         rows, keys = _members(labels, k)
-        owners = np.empty(m.n_objects, dtype=np.int64)
-        for idx, key in zip(rows, keys):
-            owners[idx] = memo.owner_id(key)
-        owners.setflags(write=False)
         params = _mstep(aug, rows, keys, memo.aware_stats)
-        loglik = _total_loglik(_log_joint(aug, params, keys, memo.aware_columns, owners))
+        loglik = _total_loglik(_log_joint(aug, params, keys, memo.aware_columns, rows))
         degenerate = bool(params.floored.any())
     n = m.n_objects
     score = float("-inf") if degenerate else bic(loglik, num_params(k, n), n)

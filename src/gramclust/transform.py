@@ -163,10 +163,6 @@ class SeparabilityReport:
     min_gap: float
     pair: tuple
 
-    def __str__(self):  # pragma: no cover
-        a, b = self.pair
-        return f"min expected-row gap = {self.min_gap:.6g} at clusters ({a}, {b})"
-
 
 def separability_diagnostic(expectations: RowExpectations) -> SeparabilityReport:
     """Min over cluster pairs of the expected-row gap.

@@ -167,6 +167,16 @@ class TestCluster:
         out2 = tmp_path / "flagwins"
         main(["cluster", fixture_csv, "--output-dir", str(out2), "--kmax", "4"])
         assert json.loads((out2 / "result.json").read_text())["config"]["kmax"] == 4
+        # eval's delimiter: a ';' file parses only under the environment's
+        # value, and a ',' file only under the flag that overrides it
+        semi = tmp_path / "semi.csv"
+        semi.write_text("object_id;label\n1;1\n2;1\n3;2\n")
+        assignments = str(out1 / "assignments.csv")
+        assert main(["eval", str(semi), str(semi)]) == 1
+        monkeypatch.setenv("GRAMCLUST_DELIMITER", ";")
+        assert main(["eval", str(semi), str(semi)]) == 0
+        assert main(["eval", assignments, assignments]) == 1
+        assert main(["eval", assignments, assignments, "--delimiter", ","]) == 0
 
 
 def write_assignment_csv(path, ids, labels):
@@ -208,34 +218,37 @@ class TestEval:
         assert main(["eval", str(a), str(b)]) == 1
 
 
-class TestSimulate:
-    def _plan(self, **over):
-        plan = {
-            "k0": 2,
-            "weights": [0.5, 0.5],
-            "mean_patterns": [[1.0], [-1.0]],
-            "variance_patterns": [[0.0], [0.0]],
-            "n": 6,
-            "reps": 30,
-            "p_grid": [50, 100],
-            "seed": 3,
-        }
-        plan.update(over)
-        return plan
+def simulation_plan(**over):
+    plan = {
+        "k0": 2,
+        "weights": [0.5, 0.5],
+        "mean_patterns": [[1.0], [-1.0]],
+        "variance_patterns": [[0.0], [0.0]],
+        "n": 6,
+        "reps": 30,
+        "p_grid": [50, 100],
+        "seed": 3,
+    }
+    plan.update(over)
+    return plan
 
-    def test_noiseless_zero_mse(self, tmp_path, capsys):
+
+class TestSimulate:
+    def test_noiseless_zero_mse(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("GRAMCLUST_THREADS", raising=False)
         plan_path = tmp_path / "plan.json"
-        plan_path.write_text(json.dumps(self._plan()))
+        plan_path.write_text(json.dumps(simulation_plan()))
         out = tmp_path / "out"
         assert main(["simulate", str(plan_path), "--output-dir", str(out)]) == 0
         rows = list(csv.DictReader((out / "concentration.csv").open()))
         assert all(float(r["mse_mean"]) == 0.0 for r in rows)
         report = json.loads((out / "report.json").read_text())
         assert report["expectation_check"]["max_dev_aug"] == 0.0
+        assert report["config"] == {"threads": 1}
 
     def test_unit_variance_bounded(self, tmp_path):
         plan_path = tmp_path / "plan.json"
-        plan_path.write_text(json.dumps(self._plan(
+        plan_path.write_text(json.dumps(simulation_plan(
             variance_patterns=[[1.0], [1.0]], reps=40, p_grid=[100, 400]
         )))
         out = tmp_path / "out"
@@ -246,10 +259,57 @@ class TestSimulate:
 
     def test_small_reps_exit_2(self, tmp_path, capsys):
         plan_path = tmp_path / "plan.json"
-        plan_path.write_text(json.dumps(self._plan(reps=10)))
+        plan_path.write_text(json.dumps(simulation_plan(reps=10)))
         assert main(["simulate", str(plan_path), "--output-dir", str(tmp_path / "o")]) == 2
 
     def test_malformed_json_exit_1(self, tmp_path):
         plan_path = tmp_path / "plan.json"
         plan_path.write_text("{not json")
         assert main(["simulate", str(plan_path), "--output-dir", str(tmp_path / "o")]) == 1
+
+
+@pytest.fixture
+def argv_for(fixture_csv, tmp_path):
+    """A command line that succeeds, for each command."""
+    pred = tmp_path / "a.csv"
+    write_assignment_csv(pred, range(1, 7), [1, 1, 2, 2, 3, 3])
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(simulation_plan()))
+    return {
+        "cluster": ["cluster", fixture_csv, "--output-dir", str(tmp_path / "c")],
+        "eval": ["eval", str(pred), str(pred)],
+        "simulate": ["simulate", str(plan), "--output-dir", str(tmp_path / "s")],
+    }
+
+
+class TestSettingsPerCommand:
+    FLAGS = {"--kmax": "3", "--max-iter": "5", "--preprocess": "standardize",
+             "--ami-norm": "max", "--threads": "2", "--delimiter": ",",
+             "--output-dir": "o"}
+
+    @pytest.mark.parametrize("command, flag", [
+        *[("eval", f) for f in ("--kmax", "--max-iter", "--preprocess", "--threads",
+                                "--output-dir")],
+        *[("simulate", f) for f in ("--kmax", "--max-iter", "--preprocess",
+                                    "--ami-norm", "--delimiter")],
+    ])
+    def test_unread_flag_rejected(self, argv_for, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv_for[command], flag, self.FLAGS[flag]])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command, flags", [
+        ("eval", ["--ami-norm", "--delimiter"]),
+        ("simulate", ["--threads"]),
+    ])
+    def test_read_flags_accepted(self, argv_for, command, flags):
+        extra = [arg for f in flags for arg in (f, self.FLAGS[f])]
+        assert main([*argv_for[command], *extra]) == 0
+
+    @pytest.mark.parametrize("var, value", [
+        ("GRAMCLUST_KMAX", "0"), ("GRAMCLUST_PREPROCESS", "none"),
+    ])
+    @pytest.mark.parametrize("command, code", [("cluster", 2), ("eval", 0), ("simulate", 0)])
+    def test_unread_env_ignored(self, argv_for, monkeypatch, var, value, command, code):
+        monkeypatch.setenv(var, value)
+        assert main(argv_for[command]) == code

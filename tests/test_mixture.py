@@ -411,66 +411,31 @@ class TestKernelOracle:
 
 class TestClusterMemo:
     def test_stale_rows_rescored(self):
-        # rows 3 and 7 change owner (and value); every other row keeps both,
-        # so the stored columns are reused there and rescored at 3 and 7
+        # rows 3 and 7 move from cluster c to cluster d (and change value);
+        # every other row keeps its cluster, so the stored columns of a and
+        # b are reused there and rescored at 3 and 7, and d is scored whole
         rng = np.random.default_rng(31)
         n, k = 12, 3
         x1 = rng.normal(size=(n, n + 1))
         x2 = x1.copy()
         x2[[3, 7]] = rng.normal(size=(2, n + 1))
-        owners1 = np.zeros(n, dtype=np.int64)
-        owners2 = owners1.copy()
-        owners2[[3, 7]] = 1
+        rows = [np.array([0, 1, 2, 4, 5, 6]), np.array([8, 9, 10, 11]), np.array([3, 7])]
+        keys1 = [b"a", b"b", b"c"]
+        keys2 = [b"a", b"b", b"d"]
         params = MixtureParams(
             np.full(k, 1.0 / k), rng.normal(size=(k, n + 1)),
             rng.uniform(0.5, 2.0, size=(k, n + 1)),
         )
         columns: dict = {}
-        keys = [b"a", b"b", b"c"]
-        first = _log_joint(x1, params, keys, columns, owners1)
+        first = _log_joint(x1, params, keys1, columns, rows)
         assert first.tobytes() == _log_joint(x1, params).tobytes()
-        again = _log_joint(x2, params, keys, columns, owners2)
+        again = _log_joint(x2, params, keys2, columns, rows)
         assert again.T.flags.c_contiguous
         assert again.tobytes() == _log_joint(x2, params).tobytes()
-        # with unchanged owners the stored rows are trusted as they are
-        kept = _log_joint(x1, params, keys, columns, owners2)
+        # under an unchanged partition the stored rows are trusted as they are
+        kept = _log_joint(x1, params, keys2, columns, rows)
         assert kept.tobytes() == again.tobytes()
         assert all(not col.flags.writeable for col, _ in columns.values())
-
-    def test_owner_ids_unique_across_threads(self):
-        # each thread draws IDs for its own clusters and for clusters every
-        # thread shares, all starting at once
-        import sys
-        import threading
-
-        memo = ClusterMemo()
-        shared = [np.array([-1, i]).tobytes() for i in range(500)]
-        orders = [
-            [key for i in range(500) for key in (np.array([t, i]).tobytes(), shared[i])]
-            for t in range(8)
-        ]
-        ids = [None] * 8
-        start = threading.Barrier(8, timeout=60)
-
-        def work(t):
-            start.wait()
-            ids[t] = {key: memo.owner_id(key) for key in orders[t]}
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(th.is_alive() for th in threads)
-        assert all(seen[key] == ids[0][key] for seen in ids for key in shared)
-        merged = {key: i for seen in ids for key, i in seen.items()}
-        assert len(merged) == 8 * 500 + 500
-        assert len(set(merged.values())) == len(merged)
 
     def test_shared_memo_matches_fresh(self):
         # non-nested random partitions that keep some clusters of a base
