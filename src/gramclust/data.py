@@ -50,7 +50,8 @@ class FeatureMatrix:
     standardized : bool
         True only if every column has mean 0 and sample sd 1 (ddof=1).
     log_applied : bool
-        Set by preprocess_dataset when the all-positive log step fired.
+        True when the values derive from the natural log of the raw input,
+        which preprocess_dataset takes when every raw value is positive.
     n_dropped_columns : int
         Constant columns removed by the transformation that produced this
         matrix (0 for raw data).
@@ -107,13 +108,26 @@ class GramMatrix:
         return self.values.shape[0]
 
 
-def _drop_constant_columns(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """The columns of ``a`` whose sample sd reaches CONSTANT_SD_TOL, and
-    the number of columns dropped."""
-    keep = a.std(axis=0, ddof=1) >= CONSTANT_SD_TOL
-    if not keep.any():
+def _standardized(a: np.ndarray, log: bool, log_applied: bool) -> FeatureMatrix:
+    """Standardize the columns of ``log(a)``, or of ``a``, in one owned
+    buffer. The sds come from the centred values; columns whose sd falls
+    below CONSTANT_SD_TOL are dropped, and only a drop copies."""
+    out = np.log(a) if log else a.copy()
+    out -= out.mean(axis=0)
+    sd = np.sqrt(np.einsum("ij,ij->j", out, out) / (out.shape[0] - 1))
+    keep = sd >= CONSTANT_SD_TOL
+    dropped = keep.size - int(np.count_nonzero(keep))
+    if dropped == keep.size:
         raise AllColumnsConstantError("every column has zero sample sd")
-    return a[:, keep], int((~keep).sum())
+    if dropped:
+        out, sd = out[:, keep], sd[keep]
+    out /= sd
+    return FeatureMatrix(
+        out,
+        standardized=True,
+        log_applied=log_applied,
+        n_dropped_columns=dropped,
+    )
 
 
 def standardize_columns(x: FeatureMatrix) -> FeatureMatrix:
@@ -122,39 +136,21 @@ def standardize_columns(x: FeatureMatrix) -> FeatureMatrix:
     Constant columns (sample sd below 1e-12) are dropped; the count shows
     up in ``n_dropped_columns`` of the result. Idempotent within 1e-10.
     """
-    kept, dropped = _drop_constant_columns(x.values)
-    out = (kept - kept.mean(axis=0)) / kept.std(axis=0, ddof=1)
-    return FeatureMatrix(
-        out,
-        standardized=True,
-        log_applied=x.log_applied,
-        n_dropped_columns=dropped,
-    )
+    return _standardized(x.values, log=False, log_applied=x.log_applied)
 
 
 def preprocess_dataset(x: FeatureMatrix) -> FeatureMatrix:
     """Apply the benchmark preprocessing to a raw feature matrix.
 
     If every entry is strictly positive, take the natural log elementwise;
-    then center each column on its median and scale by its sample sd.
-    Constant columns are dropped. The result is *not* standardized in the
-    mean-0 sense (centering uses the median); run standardize_columns
-    afterwards before computing the Gram matrix.
+    then standardize the columns as standardize_columns does, dropping
+    constant columns. The result is standardized, and ``log_applied``
+    records whether the log step fired.
     """
     if x.standardized:
         raise ValueError("preprocess_dataset expects raw (unstandardized) input")
-    a = x.values
-    log_applied = bool(np.all(a > 0.0))
-    if log_applied:
-        a = np.log(a)
-    kept, dropped = _drop_constant_columns(a)
-    out = (kept - np.median(kept, axis=0)) / kept.std(axis=0, ddof=1)
-    return FeatureMatrix(
-        out,
-        standardized=False,
-        log_applied=log_applied,
-        n_dropped_columns=dropped,
-    )
+    log = bool(x.values.min() > 0.0)
+    return _standardized(x.values, log=log, log_applied=log)
 
 
 def gram_values(values: np.ndarray) -> np.ndarray:

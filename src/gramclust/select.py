@@ -58,12 +58,14 @@ class ClusterOutput:
 
 
 def _prepare(x: FeatureMatrix, preprocess: str) -> FeatureMatrix:
+    """``x`` standardized: by preprocess_dataset (log if every value is
+    positive, then standardize) under ``paper``, else standardize_columns."""
     if preprocess not in (PREPROCESS_STANDARDIZE, PREPROCESS_PAPER):
         raise ValueError(f"unknown preprocess mode {preprocess!r}")
     if x.standardized:
         return x
     if preprocess == PREPROCESS_PAPER:
-        x = preprocess_dataset(x)
+        return preprocess_dataset(x)
     return standardize_columns(x)
 
 

@@ -84,12 +84,15 @@ class TestPreprocess:
         np.testing.assert_allclose(out.values[:, 0], [-1.0, 0.0, 1.0])
 
     def test_no_log_when_any_nonpositive(self):
-        x = np.array([[1.0, -1.0], [2.0, 2.0], [3.0, 5.0]])
+        # the medians (2, 0) differ from the means (3, 4/3): the result is
+        # standardized, not median-centred
+        x = np.array([[1.0, -1.0], [2.0, 0.0], [6.0, 5.0]])
         out = preprocess_dataset(FeatureMatrix(x))
         assert not out.log_applied
-        med = np.median(x, axis=0)
+        assert out.standardized
+        mean = x.mean(axis=0)
         sd = x.std(axis=0, ddof=1)
-        np.testing.assert_allclose(out.values, (x - med) / sd)
+        np.testing.assert_allclose(out.values, (x - mean) / sd)
 
     def test_constant_column_dropped(self):
         x = np.array([[4.0, 1.0], [4.0, 2.0], [4.0, 3.0]])

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from gramclust import (
-    MixtureSpec, ami, augment, bic, cem_fit, cluster_features, cut_tree,
-    gen_mixture, gram, num_params,
+    FeatureMatrix, MixtureSpec, ami, augment, bic, cem_fit, cluster_features,
+    cut_tree, gen_mixture, gram, num_params,
 )
+from gramclust.data import CONSTANT_SD_TOL
 from gramclust.errors import AllFitsDegenerateError
 from gramclust.hierarchy import ward_linkage
 from gramclust.select import ClusterOutput, _prepare
@@ -18,6 +19,80 @@ from tests.conftest import assert_same_fit, two_cluster_spec
 def null_spec(p: int, seed: int) -> MixtureSpec:
     return MixtureSpec(k0=1, weights=[1.0], means=np.zeros((1, p)),
                        variances=np.ones((1, p)), seed=seed)
+
+
+def reference_prepare(values: np.ndarray, preprocess: str) -> tuple[np.ndarray, int]:
+    """Oracle for ``_prepare``: the preprocessing as a chain of separate
+    steps, and the number of columns it drops. Under ``paper``: the log if
+    every value is positive, a constant-column drop, median centring and
+    sd scaling; then, in both modes, a constant-column drop and the
+    standardization, which undoes the median and sd step."""
+
+    def drop_constant(a):
+        keep = a.std(axis=0, ddof=1) >= CONSTANT_SD_TOL
+        return a[:, keep], int((~keep).sum())
+
+    a = np.array(values, dtype=np.float64)
+    dropped = 0
+    if preprocess == "paper":
+        if np.all(a > 0.0):
+            a = np.log(a)
+        a, dropped = drop_constant(a)
+        a = (a - np.median(a, axis=0)) / a.std(axis=0, ddof=1)
+    a, more = drop_constant(a)
+    return (a - a.mean(axis=0)) / a.std(axis=0, ddof=1), dropped + more
+
+
+def prepare_input(kind: str, n: int, seed: int) -> np.ndarray:
+    """Two shifted groups of rows, as raw values of the given ``kind``."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 300))
+    x[: n // 2] += 1.0
+    if kind == "nonpositive":
+        return -np.exp(x)
+    values = x if kind == "mixed-constant" else np.exp(x)
+    if kind == "zero-and-positive":
+        values[0, 1] = 0.0
+    if kind.endswith("constant"):
+        values[:, [0, 7, 150]] = [2.5, 0.125, 3.0]
+    return values
+
+
+class TestPrepare:
+    KINDS = ("nonpositive", "zero-and-positive", "positive", "positive-constant",
+             "mixed-constant")
+
+    @pytest.mark.parametrize("preprocess", ["paper", "standardize"])
+    def test_dropped_columns_counted(self, preprocess):
+        x = _prepare(FeatureMatrix(prepare_input("positive-constant", 20, 0)), preprocess)
+        assert x.n_dropped_columns == 3
+        assert x.n_features == 297
+
+    @pytest.mark.parametrize("preprocess", ["paper", "standardize"])
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [3, 12, 60, 200])
+    def test_matches_reference_chain(self, n, kind, preprocess):
+        values = prepare_input(kind, n, seed=n)
+        fm = FeatureMatrix(values)
+        x = _prepare(fm, preprocess)
+        ref, dropped = reference_prepare(values, preprocess)
+        assert x.standardized
+        assert x.log_applied == (preprocess == "paper" and kind.startswith("positive"))
+        assert x.n_dropped_columns == dropped
+        assert x.values.shape == ref.shape
+        assert np.max(np.abs(x.values - ref)) < 1e-13
+
+        kmax = min(n, 8)
+        out = cluster_features(fm, kmax=kmax, preprocess=preprocess)
+        want = cluster_features(FeatureMatrix(ref, standardized=True), kmax=kmax)
+        assert out.k_hat == want.k_hat
+        np.testing.assert_array_equal(out.labels.labels, want.labels.labels)
+        for f, w in zip(out.fits, want.fits, strict=True):
+            np.testing.assert_array_equal(f.labels.labels, w.labels.labels)
+            if np.isfinite(w.bic):
+                assert abs(f.bic - w.bic) <= 1e-12 * abs(w.bic)
+            else:
+                assert f.bic == w.bic
 
 
 class TestNumParams:
