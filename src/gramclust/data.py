@@ -27,9 +27,34 @@ STANDARD_MEAN_TOL = 1e-10
 STANDARD_SD_TOL = 1e-8
 SYMMETRY_TOL = 1e-12
 
+# Columns per block of the standardized check, so that its temporaries are
+# N x block rather than N x P.
+_CHECK_BLOCK = 1024
+
+
+def _frozen(values) -> np.ndarray:
+    """``values`` as a read-only, C-contiguous float64 array.
+
+    An ndarray that already is one and owns its data is adopted as is; a
+    writable array, a view, another dtype or a list is copied. The copy is
+    what keeps a caller's later writes out of the matrix types, so only an
+    owner that has frozen its array hands it over without one.
+    """
+    if (
+        type(values) is np.ndarray
+        and values.dtype == np.float64
+        and values.flags.c_contiguous
+        and values.flags.owndata
+        and not values.flags.writeable
+    ):
+        return values
+    a = np.array(values, dtype=np.float64, order="C")
+    a.setflags(write=False)
+    return a
+
 
 def _as_matrix(values) -> np.ndarray:
-    a = np.array(values, dtype=np.float64, order="C")
+    a = _frozen(values)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={a.ndim}")
     if not np.all(np.isfinite(a)):
@@ -41,8 +66,13 @@ def _as_matrix(values) -> np.ndarray:
 class FeatureMatrix:
     """N x P matrix of feature measurements (rows = objects).
 
-    Instances are immutable: the backing array is copied on construction
-    and marked read-only, so a FeatureMatrix can be shared across threads.
+    ``values`` is read-only. A float64, C-contiguous ndarray that owns its
+    data and is already read-only is adopted without a copy; anything else
+    (a writable array, a view, a list) is copied first, so later writes to
+    the caller's array do not reach the matrix. A caller that froze an
+    array but keeps a writable view of it can still change the values, as
+    ``fm.values.setflags(write=True)`` always could. The checks run either
+    way.
 
     Attributes
     ----------
@@ -70,13 +100,15 @@ class FeatureMatrix:
         if p < 1:
             raise ValueError("need at least 1 feature")
         if self.standardized:
-            means = a.mean(axis=0)
-            sds = a.std(axis=0, ddof=1)
+            means, sds = np.empty(p), np.empty(p)
+            for j in range(0, p, _CHECK_BLOCK):
+                block = a[:, j : j + _CHECK_BLOCK]
+                means[j : j + _CHECK_BLOCK] = block.mean(axis=0)
+                sds[j : j + _CHECK_BLOCK] = block.std(axis=0, ddof=1)
             if np.max(np.abs(means)) >= STANDARD_MEAN_TOL:
                 raise ValueError("standardized flag set but a column mean exceeds 1e-10")
             if np.max(np.abs(sds - 1.0)) >= STANDARD_SD_TOL:
                 raise ValueError("standardized flag set but a column sd deviates from 1")
-        a.setflags(write=False)
         object.__setattr__(self, "values", a)
 
     @property
@@ -90,7 +122,11 @@ class FeatureMatrix:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """N x N normalized left Gram matrix, symmetric by construction."""
+    """N x N normalized left Gram matrix, symmetric by construction.
+
+    ``values`` is read-only and follows FeatureMatrix's rule: a frozen,
+    owned float64 C-contiguous array is adopted, anything else copied.
+    """
 
     values: np.ndarray
 
@@ -100,7 +136,6 @@ class GramMatrix:
             raise ValueError(f"Gram matrix must be square, got {a.shape}")
         if np.max(np.abs(a - a.T)) >= SYMMETRY_TOL:
             raise ValueError("Gram matrix is not symmetric within 1e-12")
-        a.setflags(write=False)
         object.__setattr__(self, "values", a)
 
     @property
@@ -111,7 +146,8 @@ class GramMatrix:
 def _standardized(a: np.ndarray, log: bool, log_applied: bool) -> FeatureMatrix:
     """Standardize the columns of ``log(a)``, or of ``a``, in one owned
     buffer. The sds come from the centred values; columns whose sd falls
-    below CONSTANT_SD_TOL are dropped, and only a drop copies."""
+    below CONSTANT_SD_TOL are dropped, and only a drop copies. The buffer
+    is frozen, so the FeatureMatrix adopts it."""
     out = np.log(a) if log else a.copy()
     out -= out.mean(axis=0)
     sd = np.sqrt(np.einsum("ij,ij->j", out, out) / (out.shape[0] - 1))
@@ -120,8 +156,9 @@ def _standardized(a: np.ndarray, log: bool, log_applied: bool) -> FeatureMatrix:
     if dropped == keep.size:
         raise AllColumnsConstantError("every column has zero sample sd")
     if dropped:
-        out, sd = out[:, keep], sd[keep]
+        out, sd = out.compress(keep, axis=1), sd[keep]
     out /= sd
+    out.setflags(write=False)
     return FeatureMatrix(
         out,
         standardized=True,
@@ -168,7 +205,9 @@ def gram(x: FeatureMatrix) -> GramMatrix:
     """
     if not x.standardized:
         raise NotStandardizedError("gram requires a column-standardized FeatureMatrix")
-    return GramMatrix(gram_values(x.values))
+    g = gram_values(x.values)
+    g.setflags(write=False)
+    return GramMatrix(g)
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +291,7 @@ def read_feature_csv(path, delimiter: str = ",") -> FeatureCsv:
         raise _first_bad_row(path, delimiter, skip, width, label_idx, None)
     if label_idx is not None:
         values = np.delete(values, label_idx, axis=1)
+    values.setflags(write=False)
 
     feature_names = None
     if names is not None:

@@ -102,6 +102,7 @@ def cluster_features(
 
     t0 = time.perf_counter()
     g = gram(x)
+    del x  # only the caller's matrix lives on into the sweep
     m = augment(g)
     timings["gram"] = time.perf_counter() - t0
 

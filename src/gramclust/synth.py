@@ -46,6 +46,9 @@ class MixtureSpec:
         var = np.atleast_2d(np.asarray(self.variances, dtype=np.float64)).copy()
         if self.k0 < 1:
             raise ValueError("k0 must be positive")
+        for name, arr in (("weights", w), ("means", mu), ("variances", var)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite")
         if w.shape != (self.k0,):
             raise ValueError("weights must have length k0")
         if w.min() < 0 or abs(w.sum() - 1.0) >= 1e-12:
@@ -92,8 +95,12 @@ def gen_mixture(
         lab = np.asarray(labels, dtype=np.int64)
         if lab.shape != (n,):
             raise ValueError("labels must have length n")
-    noise = rng.standard_normal((n, spec.p))
-    x = spec.means[lab - 1] + np.sqrt(spec.variances[lab - 1]) * noise
+    # One buffer: the noise is scaled and shifted in place and then frozen,
+    # so the FeatureMatrix adopts it.
+    x = rng.standard_normal((n, spec.p))
+    x *= np.sqrt(spec.variances)[lab - 1]
+    x += spec.means[lab - 1]
+    x.setflags(write=False)
     return FeatureMatrix(x), ClusterAssignment(lab, spec.k0)
 
 

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .data import GramMatrix
+from .data import GramMatrix, _frozen
 from .errors import DimensionMismatchError, SingleClusterError
 from .hierarchy import ClusterAssignment
 
@@ -29,16 +29,17 @@ class AugmentedGram:
 
     Column N+1 holds the diagonal of the source G exactly; slot (i,i)
     holds the average of column i over object i's cluster-mates.
+    ``values`` is read-only and follows FeatureMatrix's rule: a frozen,
+    owned float64 C-contiguous array is adopted, anything else copied.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.values, dtype=np.float64).copy()
+        a = _frozen(self.values)
         n = a.shape[0]
         if a.ndim != 2 or a.shape[1] != n + 1:
             raise ValueError(f"augmented matrix must be N x (N+1), got {a.shape}")
-        a.setflags(write=False)
         object.__setattr__(self, "values", a)
 
     @property
@@ -84,7 +85,9 @@ def augment_with_clusters(g: GramMatrix, labels: ClusterAssignment) -> Augmented
         raise DimensionMismatchError(
             f"labels length {labels.n_objects} != N={g.n_objects}"
         )
-    return AugmentedGram(cluster_augment_values(g.values, labels.labels))
+    m = cluster_augment_values(g.values, labels.labels)
+    m.setflags(write=False)
+    return AugmentedGram(m)
 
 
 def augment(g: GramMatrix) -> AugmentedGram:

@@ -262,6 +262,18 @@ class TestSimulate:
         plan_path.write_text(json.dumps(simulation_plan(reps=10)))
         assert main(["simulate", str(plan_path), "--output-dir", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("over", [
+        {"weights": [float("nan"), 0.5]},
+        {"mean_patterns": [[float("nan")], [-1.0]]},
+        {"variance_patterns": [[float("inf")], [1.0]]},
+    ])
+    def test_non_finite_plan_exit_2(self, tmp_path, capsys, over):
+        # json writes NaN and Infinity, and json.load reads them back
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(simulation_plan(**over)))
+        assert main(["simulate", str(plan_path), "--output-dir", str(tmp_path / "o")]) == 2
+        assert "invalid simulation plan" in capsys.readouterr().err
+
     def test_malformed_json_exit_1(self, tmp_path):
         plan_path = tmp_path / "plan.json"
         plan_path.write_text("{not json")

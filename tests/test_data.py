@@ -1,6 +1,7 @@
 """Tests for feature-matrix preprocessing and the Gram matrix."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from gramclust.errors import (
     NonFiniteInputError,
     NotStandardizedError,
 )
+from gramclust.select import _prepare
 
 
 class TestFeatureMatrix:
@@ -38,6 +40,47 @@ class TestFeatureMatrix:
         fm = FeatureMatrix(np.eye(3))
         with pytest.raises(ValueError):
             fm.values[0, 0] = 9.0
+
+    @pytest.mark.parametrize("column", [1500, 2499])
+    @pytest.mark.parametrize("shift, scale, message", [
+        (1.0, 1.0, "column mean"), (0.0, 2.0, "column sd"),
+    ])
+    def test_standardized_check_covers_every_block(self, column, shift, scale, message):
+        # the check runs over column blocks; a bad column past the first
+        # block must still be caught
+        rng = np.random.default_rng(4)
+        x = standardize_columns(FeatureMatrix(rng.normal(size=(5, 2500)))).values.copy()
+        x[:, column] = x[:, column] * scale + shift
+        with pytest.raises(ValueError, match=message):
+            FeatureMatrix(x, standardized=True)
+
+
+@pytest.mark.parametrize("cls", [FeatureMatrix, GramMatrix])
+class TestAdoptOrCopy:
+    def test_writable_input_copied(self, cls):
+        src = np.eye(3)
+        m = cls(src)
+        src[0, 0] = 9.0
+        assert m.values[0, 0] == 1.0
+
+    def test_read_only_view_copied(self, cls):
+        base = np.eye(4)
+        base.setflags(write=False)
+        view = base[:3, :3]
+        m = cls(view)
+        assert not np.shares_memory(m.values, base)
+
+    def test_frozen_owned_array_adopted(self, cls):
+        a = np.eye(3)
+        a.setflags(write=False)
+        assert cls(a).values is a
+
+    def test_frozen_non_finite_rejected(self, cls):
+        a = np.eye(3)
+        a[1, 1] = np.nan
+        a.setflags(write=False)
+        with pytest.raises(NonFiniteInputError):
+            cls(a)
 
 
 class TestStandardize:
@@ -228,3 +271,41 @@ class TestReadFeatureCsv:
             with pytest.raises(DataError) as exc:
                 read_feature_csv(path)
             assert exc.value.line == 3
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes traced while ``fn`` runs; numpy reports its buffers to
+    tracemalloc, so the figure is deterministic."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    """Traced peaks as multiples of X.nbytes, each bound a little above
+    the value measured when the matrix types adopt frozen arrays. Copying
+    in FeatureMatrix again adds about one X to preprocessing and 0.14 X
+    to ingest, where the label column's np.delete already holds two."""
+
+    shape = (60, 20000)
+
+    @pytest.mark.parametrize("mode", ["paper", "standardize"])
+    def test_prepare(self, mode):
+        x = FeatureMatrix(np.random.default_rng(5).lognormal(size=self.shape))
+        peak = traced_peak(lambda: _prepare(x, mode))
+        assert peak / x.values.nbytes < 1.3
+
+    def test_read_feature_csv(self, tmp_path):
+        rng = np.random.default_rng(5)
+        n, p = self.shape
+        path = tmp_path / "wide.csv"
+        np.savetxt(
+            path, np.column_stack([rng.lognormal(size=self.shape), rng.integers(1, 3, n)]),
+            delimiter=",", fmt="%.6g", comments="",
+            header=",".join([f"f{j}" for j in range(p)] + ["label"]),
+        )
+        peak = traced_peak(lambda: read_feature_csv(path))
+        assert peak / (n * p * 8) < 2.36

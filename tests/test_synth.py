@@ -17,7 +17,7 @@ from gramclust import (
     expectation_check,
     gen_mixture,
 )
-from gramclust.synth import build_spec, concentration_sweep, row_deviation_bound
+from gramclust.synth import build_spec, concentration_sweep, row_deviation_bound, stream
 from tests.conftest import two_cluster_spec
 
 
@@ -51,6 +51,20 @@ class TestGenMixture:
         assert np.array_equal(fm1.values, fm2.values)
         assert np.array_equal(t1.labels, t2.labels)
 
+    def test_matches_gather_formula_bit_for_bit(self):
+        # the in-place scale and shift computes the same IEEE products and
+        # sums as the gathered expression it replaced
+        spec = MixtureSpec(k0=3, weights=[0.2, 0.3, 0.5],
+                           means=np.arange(15.0).reshape(3, 5) - 7.0,
+                           variances=np.linspace(0.1, 3.0, 15).reshape(3, 5), seed=8)
+        fm, truth = gen_mixture(spec, 30)
+        rng = stream(spec.seed)
+        lab = rng.choice(3, size=30, p=spec.weights).astype(np.int64) + 1
+        noise = rng.standard_normal((30, 5))
+        expected = spec.means[lab - 1] + np.sqrt(spec.variances[lab - 1]) * noise
+        np.testing.assert_array_equal(truth.labels, lab)
+        assert np.array_equal(fm.values, expected)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             MixtureSpec(k0=2, weights=[0.6, 0.6], means=np.zeros((2, 3)),
@@ -61,6 +75,15 @@ class TestGenMixture:
         with pytest.raises(ValueError):
             MixtureSpec(k0=2, weights=[0.5, 0.5], means=np.zeros((2, 3)),
                         variances=np.ones((2, 4)))
+        # NaN slips past every comparison, so each field is checked finite
+        for field, value in [("weights", [np.nan, 0.5]),
+                             ("means", np.full((2, 3), np.nan)),
+                             ("variances", np.full((2, 3), np.inf))]:
+            kwargs = dict(weights=[0.5, 0.5], means=np.zeros((2, 3)),
+                          variances=np.ones((2, 3)))
+            kwargs[field] = value
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                MixtureSpec(k0=2, **kwargs)
 
 
 class TestDeviationBound:

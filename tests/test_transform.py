@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gramclust import (
+    AugmentedGram,
     ClusterAssignment,
     GramMatrix,
     MixtureSpec,
@@ -165,6 +166,31 @@ class TestAugmentWithClusters:
         m = augment_with_clusters(g, labels)
         slots = m.values[np.arange(3), np.arange(3)]
         np.testing.assert_allclose(slots, [1.0, 1.0, -0.5])
+
+
+class TestAugmentedGramStorage:
+    def test_writable_input_copied(self):
+        src = np.zeros((3, 4))
+        m = AugmentedGram(src)
+        src[0, 0] = 9.0
+        assert m.values[0, 0] == 0.0
+
+    def test_read_only_view_copied(self):
+        base = np.zeros((4, 4))
+        base.setflags(write=False)
+        m = AugmentedGram(base[1:])
+        assert not np.shares_memory(m.values, base)
+
+    def test_frozen_owned_array_adopted(self):
+        a = np.zeros((3, 4))
+        a.setflags(write=False)
+        assert AugmentedGram(a).values is a
+
+    def test_frozen_wrong_shape_rejected(self):
+        a = np.zeros((3, 3))
+        a.setflags(write=False)
+        with pytest.raises(ValueError):
+            AugmentedGram(a)
 
 
 class TestExpectedRows:
