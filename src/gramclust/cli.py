@@ -53,21 +53,18 @@ _SETTINGS = {
     "max_iter": _Setting(DEFAULT_MAX_ITER, int, lambda v: v >= 1, "must be >= 1"),
     "preprocess": _Setting(PREPROCESS_PAPER, choices=_PREPROCESS_MODES),
     "ami_norm": _Setting(NORM_MEAN, choices=_AMI_NORMS),
-    "threads": _Setting(
-        1, lambda raw: (os.cpu_count() or 1) if raw == "auto" else int(raw),
-        lambda v: v >= 1, "must be >= 1",
-        help="worker threads for the K sweep (default 1), or 'auto'"),
+    "threads": _Setting(1, int, lambda v: v >= 1, "must be >= 1",
+                        help="ignored: checked and echoed only"),
     "delimiter": _Setting(",", check=lambda v: len(v) == 1,
                           rule="must be a single character"),
     "output_dir": _Setting("."),
 }
 
-# The settings each command reads: the only ones it parses, reads from the
-# environment, checks and echoes. simulate reads no threads; it keeps
-# --threads and its echo only until the K-sweep pool goes (ROADMAP item 5),
-# because perfbench/run.py passes --threads to every command when
-# os.cpu_count() > nproc, and perfbench/tests asserts config.threads >= 1
-# in simulate's report.json.
+# The settings each command takes: the only ones it parses, reads from the
+# environment, checks and echoes. threads has no effect; cluster and
+# simulate take it only because perfbench/run.py passes --threads nproc
+# when os.cpu_count() > nproc and perfbench/tests asserts
+# 1 <= config.threads <= nproc. ROADMAP item 1 removes it with those.
 _COMMAND_SETTINGS = {
     "cluster": tuple(_SETTINGS),
     "eval": ("ami_norm", "delimiter"),
@@ -129,7 +126,6 @@ def cmd_cluster(input_path: str, config: argparse.Namespace) -> int:
         kmax=config.kmax,
         max_iter=config.max_iter,
         preprocess=config.preprocess,
-        threads=config.threads,
     )
 
     os.makedirs(config.output_dir, exist_ok=True)
@@ -227,6 +223,11 @@ def _validate_plan(raw: dict) -> SimulationPlan:
         raise ConfigError("reps must be >= 30")
     if plan.n < 2:
         raise ConfigError("n must be >= 2")
+    if plan.n < 2 * plan.k0 or not all(w > 0 for w in plan.weights):
+        raise ConfigError("invalid simulation plan: every cluster needs 2 "
+                          "members, so n >= 2 * k0 and every weight > 0")
+    if plan.seed < 0:
+        raise ConfigError("invalid simulation plan: seed must be >= 0")
     if not plan.p_grid:
         raise ConfigError("p_grid must be non-empty")
     if len(plan.mean_patterns) != plan.k0 or len(plan.variance_patterns) != plan.k0:

@@ -139,9 +139,8 @@ class ClusterMemo:
     depends only on the members of i's own cluster: so a cluster's
     statistics there depend only on its members, and a component's entry
     for row i only on its members and on the cluster that owns row i.
-    Entries are read-only once stored, so fits on several threads may
-    share one memo. A memo is valid for one Gram matrix and its sweep
-    matrix.
+    Entries are read-only once stored. A memo is valid for one Gram matrix
+    and its sweep matrix.
     """
 
     def __init__(self):
@@ -185,7 +184,7 @@ def _mstep(x: np.ndarray, rows: list, keys: list, stats: dict) -> MixtureParams:
     for j, (idx, key) in enumerate(zip(rows, keys)):
         entry = stats.get(key)
         if entry is None:
-            entry = stats.setdefault(key, _cluster_stats(x[idx]))
+            entry = stats[key] = _cluster_stats(x[idx])
         means[j], raw[j] = entry
     sizes = np.array([idx.size for idx in rows])
     floored = (raw < VARIANCE_FLOOR).any(axis=1)

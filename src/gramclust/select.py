@@ -3,16 +3,15 @@
 For each candidate K the driver initializes from the Ward tree over the
 rows of the augmented Gram matrix and runs classification EM, which
 scores its fit by BIC on the cluster-aware matrix; the K with the largest
-finite score wins, ties going to the smaller K. The per-K fits share one
-ClusterMemo: the Ward cuts are nested, so most clusters of one fit were
-already fitted and scored at a smaller K.
+finite score wins, ties going to the smaller K. The per-K fits run in
+order of K and share one ClusterMemo: the Ward cuts are nested, so most
+clusters of one fit were already fitted and scored at a smaller K.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,17 +73,15 @@ def cluster_features(
     kmax: int = DEFAULT_KMAX,
     max_iter: int = DEFAULT_MAX_ITER,
     preprocess: str = PREPROCESS_PAPER,
-    threads: int = 1,
 ) -> ClusterOutput:
     """Cluster the rows of a feature matrix, estimating K by BIC.
 
     Pipeline: (optional preprocessing +) standardization, Gram matrix and
     its one-cluster augmentation, then for K = 1..kmax a Ward-tree cut
-    initializes classification EM. The per-K fits share one memo of
-    per-cluster work and may run on ``threads`` workers; every fit, and so
-    the sweep result, is bit-identical whatever the execution order, but
-    each fit's time in ``timings["fit_per_k"]`` depends on what earlier
-    fits left in the memo. ``kmax`` is clamped to N with a warning.
+    initializes classification EM. The fits run in order of K and share
+    one memo of per-cluster work: each is bit-identical to a fit on its
+    own, but its time in ``timings["fit_per_k"]`` depends on what the fits
+    before it left in the memo. ``kmax`` is clamped to N with a warning.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
@@ -111,22 +108,16 @@ def cluster_features(
     timings["ward"] = time.perf_counter() - t0
 
     memo = ClusterMemo()
-
-    def fit_k(k: int):
-        t = time.perf_counter()
-        fit = cem_fit(g, m, cut_tree(dendrogram, k), max_iter=max_iter, memo=memo)
-        return fit, time.perf_counter() - t
-
-    ks = range(1, kmax + 1)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(fit_k, ks))
-    else:
-        results = [fit_k(k) for k in ks]
-    timings["fit_per_k"] = [r[1] for r in results]
+    fits = []
+    timings["fit_per_k"] = []
+    for k in range(1, kmax + 1):
+        t0 = time.perf_counter()
+        init = cut_tree(dendrogram, k)
+        fits.append(cem_fit(g, m, init, max_iter=max_iter, memo=memo))
+        timings["fit_per_k"].append(time.perf_counter() - t0)
 
     t0 = time.perf_counter()
-    out = ClusterOutput(fits=tuple(r[0] for r in results), timings=timings)
+    out = ClusterOutput(fits=tuple(fits), timings=timings)
     timings["select"] = time.perf_counter() - t0
     timings["total"] = time.perf_counter() - t_total
     return out

@@ -112,7 +112,7 @@ def _draw_labels_min_size(
         lab = rng.choice(spec.k0, size=n, p=spec.weights).astype(np.int64) + 1
         if np.bincount(lab, minlength=spec.k0 + 1)[1:].min() >= min_size:
             return lab
-    raise RuntimeError(
+    raise ValueError(
         f"could not draw an assignment with cluster sizes >= {min_size}"
     )
 
@@ -305,6 +305,13 @@ def expectation_check(spec: MixtureSpec, n: int, reps: int) -> ExpectationReport
 # ---------------------------------------------------------------------------
 
 
+def _whole(name: str, value) -> int:
+    """``value`` as an int; 4.0 passes, and 4.7, "4" and NaN raise."""
+    if isinstance(value, int) or (isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SimulationPlan:
     """Parametric family of mixtures over a grid of feature counts.
@@ -325,16 +332,16 @@ class SimulationPlan:
     @classmethod
     def from_dict(cls, d: dict) -> "SimulationPlan":
         return cls(
-            k0=int(d["k0"]),
+            k0=_whole("k0", d["k0"]),
             weights=tuple(float(w) for w in d["weights"]),
             mean_patterns=tuple(tuple(float(v) for v in p) for p in d["mean_patterns"]),
             variance_patterns=tuple(
                 tuple(float(v) for v in p) for p in d["variance_patterns"]
             ),
-            n=int(d["n"]),
-            reps=int(d["reps"]),
-            p_grid=tuple(int(p) for p in d["p_grid"]),
-            seed=int(d.get("seed", 0)),
+            n=_whole("n", d["n"]),
+            reps=_whole("reps", d["reps"]),
+            p_grid=tuple(_whole("p_grid", p) for p in d["p_grid"]),
+            seed=_whole("seed", d.get("seed", 0)),
         )
 
 

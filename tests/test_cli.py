@@ -1,13 +1,18 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gramclust import gen_mixture
 from gramclust.cli import main
@@ -110,13 +115,16 @@ class TestCluster:
         assert "config error" in capsys.readouterr().err
 
     def test_bad_threads_exit_2(self, fixture_csv, tmp_path, capsys, monkeypatch):
-        rc = main(["cluster", fixture_csv, "--output-dir", str(tmp_path / "o"),
-                   "--threads", "foo"])
-        assert rc == 2
-        assert "config error" in capsys.readouterr().err
-        monkeypatch.setenv("GRAMCLUST_THREADS", "foo")
-        assert main(["cluster", fixture_csv, "--output-dir", str(tmp_path / "o")]) == 2
-        assert "config error" in capsys.readouterr().err
+        # threads is a plain int >= 1: 'auto' is not a value
+        for value in ("foo", "auto"):
+            rc = main(["cluster", fixture_csv, "--output-dir", str(tmp_path / "o"),
+                       "--threads", value])
+            assert rc == 2
+            assert "config error" in capsys.readouterr().err
+            monkeypatch.setenv("GRAMCLUST_THREADS", value)
+            assert main(["cluster", fixture_csv, "--output-dir", str(tmp_path / "o")]) == 2
+            assert "config error" in capsys.readouterr().err
+            monkeypatch.delenv("GRAMCLUST_THREADS")
 
     @pytest.mark.parametrize(
         "flag",
@@ -210,6 +218,30 @@ class TestEval:
         assert main(["eval", str(pred), str(truth)]) == 0
         assert capsys.readouterr().out.strip() == "-0.500000"
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 40).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(1, 5), min_size=n, max_size=n),
+        st.lists(st.integers(1, 5), min_size=n, max_size=n),
+        st.permutations(range(n)),
+    )))
+    def test_shuffled_renamed_rows_same_value(self, case):
+        pred, truth, order = case
+        renamed = [f"c{9 - lab}" for lab in pred]
+
+        def printed(pred_ids, pred_labels):
+            with tempfile.TemporaryDirectory() as tmp:
+                p, t = os.path.join(tmp, "p.csv"), os.path.join(tmp, "t.csv")
+                write_assignment_csv(p, pred_ids, pred_labels)
+                write_assignment_csv(t, range(1, len(truth) + 1), truth)
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    assert main(["eval", p, t]) == 0
+            return out.getvalue()
+
+        ids = range(1, len(pred) + 1)
+        shuffled = printed([ids[i] for i in order], [renamed[i] for i in order])
+        assert shuffled == printed(ids, pred)
+
     def test_object_id_mismatch_exit_1(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -274,6 +306,33 @@ class TestSimulate:
         assert main(["simulate", str(plan_path), "--output-dir", str(tmp_path / "o")]) == 2
         assert "invalid simulation plan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("over", [
+        # every cluster needs 2 members: n >= 2 * k0 and no zero weight
+        {"n": 3}, {"weights": [1.0, 0.0]},
+        # counts and the seed are never truncated; a seed is never negative
+        {"n": 4.7}, {"reps": 30.9}, {"p_grid": [50.5]}, {"seed": 7.2},
+        {"k0": 2.5}, {"n": "6"}, {"seed": -1},
+    ])
+    def test_unusable_plan_exit_2(self, tmp_path, capsys, over):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(simulation_plan(**over)))
+        assert main(["simulate", str(plan_path), "--output-dir", str(tmp_path / "o")]) == 2
+        assert "invalid simulation plan" in capsys.readouterr().err
+
+    def test_whole_float_plan_runs(self, tmp_path):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(simulation_plan(n=6.0, reps=30.0, seed=3.0)))
+        out = tmp_path / "out"
+        assert main(["simulate", str(plan_path), "--output-dir", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["plan"]["n"] == 6
+
+    def test_rejection_cap_exit_1(self, tmp_path, capsys):
+        # a positive but tiny weight passes validation, then the draws give up
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(simulation_plan(weights=[1e-9, 1.0 - 1e-9])))
+        assert main(["simulate", str(plan_path), "--output-dir", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("error: could not draw")
+
     def test_malformed_json_exit_1(self, tmp_path):
         plan_path = tmp_path / "plan.json"
         plan_path.write_text("{not json")
@@ -313,6 +372,7 @@ class TestSettingsPerCommand:
     @pytest.mark.parametrize("command, flags", [
         ("eval", ["--ami-norm", "--delimiter"]),
         ("simulate", ["--threads"]),
+        ("cluster", ["--threads"]),
     ])
     def test_read_flags_accepted(self, argv_for, command, flags):
         extra = [arg for f in flags for arg in (f, self.FLAGS[f])]

@@ -4,10 +4,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gramclust import (
     FeatureMatrix, MixtureSpec, ami, augment, bic, cem_fit, cluster_features,
-    cut_tree, gen_mixture, gram, num_params,
+    contingency, cut_tree, gen_mixture, gram, num_params,
 )
 from gramclust.data import CONSTANT_SD_TOL
 from gramclust.errors import AllFitsDegenerateError
@@ -193,20 +195,6 @@ class TestGmcluster:
             wins += out.k_hat == 2 and ami(truth, out.labels) == 1.0
         assert wins == 9
 
-    def test_threads_do_not_change_result(self):
-        cases = [
-            (two_cluster_spec(6.0, 1000, seed=8), 100),
-            (null_spec(800, seed=81), 120),
-            (two_cluster_spec(2.5, 600, seed=82, weights=(0.7, 0.3)), 150),
-        ]
-        for spec, n in cases:
-            fm, _ = gen_mixture(spec, n)
-            a = cluster_features(fm, kmax=20, preprocess="standardize", threads=1)
-            b = cluster_features(fm, kmax=20, preprocess="standardize", threads=4)
-            assert a.k_hat == b.k_hat
-            for fa, fb in zip(a.fits, b.fits, strict=True):
-                assert_same_fit(fa, fb)
-
     def test_selected_fit_never_degenerate(self):
         spec = two_cluster_spec(6.0, 800, seed=9)
         fm, _ = gen_mixture(spec, 20)
@@ -269,3 +257,54 @@ class TestSharedMemo:
             assert_same_fit(fit, cem_fit(g, m, cut_tree(dendrogram, k)))
         if multi_iteration:
             assert max(f.iterations for f in out.fits) > 1
+
+
+def same_partition(u, v) -> bool:
+    """Two labelings split the objects the same way: their contingency
+    table pairs each cluster of one with exactly one cluster of the other."""
+    counts = contingency(u, v).counts
+    return counts.shape[0] == counts.shape[1] == np.count_nonzero(counts)
+
+
+class TestPermutationProperties:
+    """End to end, the partition follows the objects and ignores the order
+    of the features. Permuted inputs round differently, so partitions are
+    compared, not labels or bits."""
+
+    @staticmethod
+    def draw(n, p, k0, amplitude, preprocess, seed):
+        rng = np.random.default_rng(seed)
+        means = amplitude * rng.choice([-1.0, 1.0], size=(k0, p))
+        spec = MixtureSpec(k0=k0, weights=np.full(k0, 1.0 / k0), means=means,
+                           variances=np.ones((k0, p)), seed=seed)
+        x = gen_mixture(spec, n)[0].values
+        # positive values take the log branch under paper
+        return (np.exp(x / amplitude) if preprocess == "paper" else x), rng
+
+    inputs = dict(
+        n=st.integers(8, 40), p=st.integers(50, 800), k0=st.integers(1, 3),
+        amplitude=st.floats(1.5, 4.0),
+        preprocess=st.sampled_from(["standardize", "paper"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+
+    @staticmethod
+    def labels(x, preprocess):
+        out = cluster_features(FeatureMatrix(x), kmax=8, preprocess=preprocess)
+        return out.labels.labels
+
+    @settings(max_examples=25, deadline=None)
+    @given(**inputs)
+    def test_row_permutation_permutes_partition(self, preprocess, **case):
+        x, rng = self.draw(preprocess=preprocess, **case)
+        perm = rng.permutation(x.shape[0])
+        moved = self.labels(x[perm], preprocess)
+        assert same_partition(moved, self.labels(x, preprocess)[perm])
+
+    @settings(max_examples=25, deadline=None)
+    @given(**inputs)
+    def test_column_permutation_keeps_partition(self, preprocess, **case):
+        x, rng = self.draw(preprocess=preprocess, **case)
+        perm = rng.permutation(x.shape[1])
+        moved = self.labels(x[:, perm], preprocess)
+        assert same_partition(moved, self.labels(x, preprocess))
