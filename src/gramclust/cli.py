@@ -175,16 +175,26 @@ def cmd_cluster(input_path: str, config: argparse.Namespace) -> int:
     return 0
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_assignment_csv(path: str, delimiter: str = ",") -> dict:
+    """object id -> label. The first row is a header when it reads
+    object_id,label (as ``cluster`` writes it), or when its id is the only
+    id in the file that is not a number."""
     with open(path, newline="") as fh:
         rows = [r for r in csv.reader(fh, delimiter=delimiter) if r]
     if not rows:
         raise DataError("empty assignment file")
-    start = 0
-    try:
-        float(rows[0][0])
-    except ValueError:
-        start = 1
+    header = [field.strip().lower() for field in rows[0]] == ["object_id", "label"] or (
+        not _is_number(rows[0][0]) and all(_is_number(row[0]) for row in rows[1:])
+    )
+    start = int(header)
     mapping = {}
     for lineno, row in enumerate(rows[start:], start=start + 1):
         if len(row) < 2:
@@ -214,42 +224,19 @@ def cmd_eval(pred_path: str, truth_path: str, config: argparse.Namespace) -> int
     return 0
 
 
-def _validate_plan(raw: dict) -> SimulationPlan:
-    try:
-        plan = SimulationPlan.from_dict(raw)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid simulation plan: {exc}") from exc
-    if plan.reps < 30:
-        raise ConfigError("reps must be >= 30")
-    if plan.n < 2:
-        raise ConfigError("n must be >= 2")
-    if plan.n < 2 * plan.k0 or not all(w > 0 for w in plan.weights):
-        raise ConfigError("invalid simulation plan: every cluster needs 2 "
-                          "members, so n >= 2 * k0 and every weight > 0")
-    if plan.seed < 0:
-        raise ConfigError("invalid simulation plan: seed must be >= 0")
-    if not plan.p_grid:
-        raise ConfigError("p_grid must be non-empty")
-    if len(plan.mean_patterns) != plan.k0 or len(plan.variance_patterns) != plan.k0:
-        raise ConfigError("need one mean and one variance pattern per cluster")
-    try:
-        build_spec(plan, min(plan.p_grid))  # surfaces weight/shape violations
-    except ValueError as exc:
-        raise ConfigError(f"invalid simulation plan: {exc}") from exc
-    return plan
-
-
 def cmd_simulate(plan_path: str, config: argparse.Namespace) -> int:
     with open(plan_path) as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"malformed plan JSON: {exc}") from exc
-    plan = _validate_plan(raw)
+    try:
+        plan = SimulationPlan(**raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid simulation plan: {exc}") from exc
 
     report = concentration_sweep(plan)
-    p_small = min(plan.p_grid)
-    exp_check = expectation_check(build_spec(plan, p_small), plan.n, max(plan.reps, 100))
+    exp_check = expectation_check(build_spec(plan, min(plan.p_grid)), plan.n, max(plan.reps, 100))
 
     os.makedirs(config.output_dir, exist_ok=True)
     csv_path = os.path.join(config.output_dir, "concentration.csv")

@@ -317,7 +317,8 @@ class SimulationPlan:
     """Parametric family of mixtures over a grid of feature counts.
 
     Per-cluster mean/variance patterns are tiled (cyclically repeated) to
-    length P for each grid point, so one plan describes every P.
+    length P for each grid point, so one plan describes every P. The
+    constructor coerces and checks every field, raising ValueError or TypeError.
     """
 
     k0: int
@@ -329,20 +330,31 @@ class SimulationPlan:
     p_grid: tuple
     seed: int = 0
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SimulationPlan":
-        return cls(
-            k0=_whole("k0", d["k0"]),
-            weights=tuple(float(w) for w in d["weights"]),
-            mean_patterns=tuple(tuple(float(v) for v in p) for p in d["mean_patterns"]),
-            variance_patterns=tuple(
-                tuple(float(v) for v in p) for p in d["variance_patterns"]
-            ),
-            n=_whole("n", d["n"]),
-            reps=_whole("reps", d["reps"]),
-            p_grid=tuple(_whole("p_grid", p) for p in d["p_grid"]),
-            seed=_whole("seed", d.get("seed", 0)),
-        )
+    def __post_init__(self):
+        for name in ("k0", "n", "reps", "seed"):
+            object.__setattr__(self, name, _whole(name, getattr(self, name)))
+        if self.k0 < 1:
+            raise ValueError("k0 must be >= 1")
+        if self.n < 2 * self.k0:
+            raise ValueError("every cluster needs 2 members, so n must be >= 2 * k0")
+        if self.reps < 30:
+            raise ValueError("reps must be >= 30")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        object.__setattr__(self, "p_grid", tuple(_whole("p_grid", p) for p in self.p_grid))
+        if not self.p_grid or min(self.p_grid) < 1 or len(set(self.p_grid)) < len(self.p_grid):
+            raise ValueError("p_grid must be a non-empty list of distinct values >= 1")
+        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        for name in ("mean_patterns", "variance_patterns"):
+            patterns = tuple(tuple(float(v) for v in pat) for pat in getattr(self, name))
+            if len(patterns) != self.k0 or not all(patterns):
+                raise ValueError(f"{name} must hold one non-empty pattern per cluster")
+            object.__setattr__(self, name, patterns)
+        # Tiled to the longest pattern, the spec holds every entry, so
+        # MixtureSpec checks the weights and each entry once.
+        build_spec(self, max(map(len, self.mean_patterns + self.variance_patterns)))
+        if min(self.weights) <= 0:
+            raise ValueError("every cluster needs 2 members, so every weight must be > 0")
 
 
 def build_spec(plan: SimulationPlan, p: int) -> MixtureSpec:

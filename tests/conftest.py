@@ -18,6 +18,47 @@ def two_cluster_spec(amplitude: float, p: int, seed: int = 0,
     )
 
 
+def simulation_plan(**over):
+    """A valid simulate plan, as a JSON-ready dict, with ``over`` applied."""
+    plan = {
+        "k0": 2,
+        "weights": [0.5, 0.5],
+        "mean_patterns": [[1.0], [-1.0]],
+        "variance_patterns": [[0.0], [0.0]],
+        "n": 6,
+        "reps": 30,
+        "p_grid": [50, 100],
+        "seed": 3,
+    }
+    plan.update(over)
+    return plan
+
+
+# Edits that make simulation_plan() invalid. json writes NaN and Infinity,
+# and json.load reads them back.
+NON_FINITE_PLAN_EDITS = [
+    {"weights": [float("nan"), 0.5]},
+    {"mean_patterns": [[float("nan")], [-1.0]]},
+    {"variance_patterns": [[float("inf")], [1.0]]},
+]
+UNUSABLE_PLAN_EDITS = [
+    # every cluster needs 2 members: n >= 2 * k0 and no zero weight
+    {"n": 3}, {"weights": [1.0, 0.0]},
+    # counts and the seed are never truncated; a seed is never negative
+    {"n": 4.7}, {"reps": 30.9}, {"p_grid": [50.5]}, {"seed": 7.2},
+    {"k0": 2.5}, {"n": "6"}, {"seed": -1},
+    # a pattern is never empty, and every entry is checked, not only the
+    # first min(p_grid) of each
+    {"mean_patterns": [[], [-1.0]]}, {"variance_patterns": [[1.0], []]},
+    {"mean_patterns": [[1.0, 2.0, float("nan")], [-1.0]], "p_grid": [2, 100]},
+    {"variance_patterns": [[1.0], [1.0, -1.0]], "p_grid": [1, 50]},
+    # grid points are distinct and >= 1
+    {"p_grid": [0, 50]}, {"p_grid": [50, 50]},
+    # an unknown key is rejected, not ignored
+    {"sede": 7},
+]
+
+
 def assert_same_fit(a, b):
     """Every field of two FitResults is equal, bit for bit."""
     arrays = lambda f: (

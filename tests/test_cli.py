@@ -16,7 +16,12 @@ from hypothesis import strategies as st
 
 from gramclust import gen_mixture
 from gramclust.cli import main
-from tests.conftest import two_cluster_spec
+from tests.conftest import (
+    NON_FINITE_PLAN_EDITS,
+    UNUSABLE_PLAN_EDITS,
+    simulation_plan,
+    two_cluster_spec,
+)
 
 
 def write_feature_csv(path, x, labels=None):
@@ -242,27 +247,35 @@ class TestEval:
         shuffled = printed([ids[i] for i in order], [renamed[i] for i in order])
         assert shuffled == printed(ids, pred)
 
+    def eval_lines(self, tmp_path, capsys, pred_lines, truth_lines):
+        pred, truth = tmp_path / "p.csv", tmp_path / "t.csv"
+        pred.write_text("\n".join(pred_lines) + "\n")
+        truth.write_text("\n".join(truth_lines) + "\n")
+        assert main(["eval", str(pred), str(truth)]) == 0
+        return capsys.readouterr().out.strip()
+
+    @pytest.mark.parametrize("ids", [["s1", "s2", "s3", "s4"], ["1", "2", "3", "4"]])
+    def test_headerless_first_row_is_data(self, tmp_path, capsys, ids):
+        # with s1 dropped as a header, the rest agree perfectly (1.000000)
+        pred = [f"{i},{lab}" for i, lab in zip(ids, [1, 1, 2, 2])]
+        truth = [f"{i},{lab}" for i, lab in zip(ids, [2, 1, 2, 2])]
+        assert self.eval_lines(tmp_path, capsys, pred, truth) == "0.000000"
+
+    @pytest.mark.parametrize("header, ids", [
+        (" Object_ID , LABEL ", ["s1", "s2", "s3", "s4"]),
+        ("id,cluster", ["1", "2", "3", "4"]),
+    ], ids=["object_id_label", "only_non_numeric_id"])
+    def test_header_skipped(self, tmp_path, capsys, header, ids):
+        pred = [header] + [f"{i},{lab}" for i, lab in zip(ids, [1, 1, 2, 2])]
+        truth = [header] + [f"{i},{lab}" for i, lab in zip(ids, [1, 2, 1, 2])]
+        assert self.eval_lines(tmp_path, capsys, pred, truth) == "-0.500000"
+
     def test_object_id_mismatch_exit_1(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
         write_assignment_csv(a, [1, 2, 3], [1, 1, 2])
         write_assignment_csv(b, [1, 2, 9], [1, 1, 2])
         assert main(["eval", str(a), str(b)]) == 1
-
-
-def simulation_plan(**over):
-    plan = {
-        "k0": 2,
-        "weights": [0.5, 0.5],
-        "mean_patterns": [[1.0], [-1.0]],
-        "variance_patterns": [[0.0], [0.0]],
-        "n": 6,
-        "reps": 30,
-        "p_grid": [50, 100],
-        "seed": 3,
-    }
-    plan.update(over)
-    return plan
 
 
 class TestSimulate:
@@ -294,25 +307,14 @@ class TestSimulate:
         plan_path.write_text(json.dumps(simulation_plan(reps=10)))
         assert main(["simulate", str(plan_path), "--output-dir", str(tmp_path / "o")]) == 2
 
-    @pytest.mark.parametrize("over", [
-        {"weights": [float("nan"), 0.5]},
-        {"mean_patterns": [[float("nan")], [-1.0]]},
-        {"variance_patterns": [[float("inf")], [1.0]]},
-    ])
+    @pytest.mark.parametrize("over", NON_FINITE_PLAN_EDITS)
     def test_non_finite_plan_exit_2(self, tmp_path, capsys, over):
-        # json writes NaN and Infinity, and json.load reads them back
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(json.dumps(simulation_plan(**over)))
         assert main(["simulate", str(plan_path), "--output-dir", str(tmp_path / "o")]) == 2
         assert "invalid simulation plan" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("over", [
-        # every cluster needs 2 members: n >= 2 * k0 and no zero weight
-        {"n": 3}, {"weights": [1.0, 0.0]},
-        # counts and the seed are never truncated; a seed is never negative
-        {"n": 4.7}, {"reps": 30.9}, {"p_grid": [50.5]}, {"seed": 7.2},
-        {"k0": 2.5}, {"n": "6"}, {"seed": -1},
-    ])
+    @pytest.mark.parametrize("over", UNUSABLE_PLAN_EDITS)
     def test_unusable_plan_exit_2(self, tmp_path, capsys, over):
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(json.dumps(simulation_plan(**over)))

@@ -1,6 +1,7 @@
 """Tests for the synthetic generator, closed-form bounds, and harnesses."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -18,7 +19,12 @@ from gramclust import (
     gen_mixture,
 )
 from gramclust.synth import build_spec, concentration_sweep, row_deviation_bound, stream
-from tests.conftest import two_cluster_spec
+from tests.conftest import (
+    NON_FINITE_PLAN_EDITS,
+    UNUSABLE_PLAN_EDITS,
+    simulation_plan,
+    two_cluster_spec,
+)
 
 
 class TestGenMixture:
@@ -213,10 +219,27 @@ class TestSimulationPlan:
             variance_patterns=((1.0,), (1.0,)),
             n=6, reps=30, p_grid=(20, 40), seed=4,
         )
-        assert SimulationPlan.from_dict(dataclasses.asdict(plan)) == plan
+        assert SimulationPlan(**json.loads(json.dumps(dataclasses.asdict(plan)))) == plan
         spec = build_spec(plan, 5)
         np.testing.assert_array_equal(spec.means[0], np.ones(5))
         np.testing.assert_array_equal(spec.means[1], [-1.0, 0.0, -1.0, 0.0, -1.0])
+
+    def test_whole_floats_become_ints(self):
+        plan = SimulationPlan(**simulation_plan(n=6.0, reps=30.0, p_grid=[50.0], seed=3.0))
+        assert (plan.n, plan.reps, plan.p_grid, plan.seed) == (6, 30, (50,), 3)
+        assert all(type(v) is int for v in (plan.n, plan.reps, plan.p_grid[0], plan.seed))
+
+    @pytest.mark.parametrize("raw", [
+        simulation_plan(reps=10),
+        *(simulation_plan(**over) for over in NON_FINITE_PLAN_EDITS + UNUSABLE_PLAN_EDITS),
+        simulation_plan(k0=0), simulation_plan(p_grid=[]),
+        simulation_plan(mean_patterns=[[1.0]]),
+        simulation_plan(weights=[0.3, 0.3]), simulation_plan(weights=[0.5, 0.25, 0.25]),
+        {key: value for key, value in simulation_plan().items() if key != "n"},
+    ])
+    def test_bad_plan_raises(self, raw):
+        with pytest.raises((TypeError, ValueError)):
+            SimulationPlan(**raw)
 
     def test_sweep_slope_near_minus_one(self):
         plan = SimulationPlan(
