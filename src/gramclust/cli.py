@@ -17,7 +17,7 @@ import sys
 from typing import Callable, NamedTuple, Optional
 
 from . import __version__
-from .data import read_feature_csv
+from .data import _is_number, read_feature_csv
 from .errors import ConfigError, DataError, GramClustError, ObjectIdMismatchError
 from .metrics import NORM_MAX, NORM_MEAN, ami
 from .select import (
@@ -175,24 +175,18 @@ def cmd_cluster(input_path: str, config: argparse.Namespace) -> int:
     return 0
 
 
-def _is_number(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
-
-
 def _read_assignment_csv(path: str, delimiter: str = ",") -> dict:
     """object id -> label. The first row is a header when it reads
     object_id,label (as ``cluster`` writes it), or when its id is the only
-    id in the file that is not a number."""
+    id in the file that is not a number, or its label the only such label."""
     with open(path, newline="") as fh:
         rows = [r for r in csv.reader(fh, delimiter=delimiter) if r]
     if not rows:
         raise DataError("empty assignment file")
-    header = [field.strip().lower() for field in rows[0]] == ["object_id", "label"] or (
-        not _is_number(rows[0][0]) and all(_is_number(row[0]) for row in rows[1:])
+    # a missing label counts as a number here; its row is rejected below
+    numeric = [[col >= len(row) or _is_number(row[col]) for row in rows] for col in (0, 1)]
+    header = [field.strip().lower() for field in rows[0]] == ["object_id", "label"] or any(
+        not column[0] and all(column[1:]) for column in numeric
     )
     start = int(header)
     mapping = {}

@@ -225,12 +225,11 @@ class FeatureCsv:
     feature_names: Optional[list] = field(default=None)
 
 
-def _looks_numeric(tokens) -> bool:
-    for t in tokens:
-        try:
-            float(t)
-        except ValueError:
-            return False
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
     return True
 
 
@@ -261,7 +260,7 @@ def read_feature_csv(path, delimiter: str = ",") -> FeatureCsv:
         if first_row is None:
             raise DataError("empty file")
         first = [t.strip() for t in first_row]
-        names = None if _looks_numeric(first) else first
+        names = None if all(map(_is_number, first)) else first
         if names is not None and next(rows, None) is None:
             raise DataError("no data rows", line=first_line)
     label_idx = next(

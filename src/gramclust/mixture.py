@@ -17,14 +17,14 @@ membership, without changing a bit of any result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .data import GramMatrix
 from .errors import EmptyClusterError
-from .hierarchy import ClusterAssignment, canonicalize_labels
+from .hierarchy import ClusterAssignment
 from .transform import AugmentedGram, augment_with_clusters
 
 VARIANCE_FLOOR = 1e-8
@@ -127,27 +127,47 @@ def bic(loglik: float, nu: int, n: int) -> float:
     return 2.0 * loglik - nu * float(np.log(n))
 
 
+@dataclass(eq=False)
+class _Component:
+    """One cluster's component on one matrix: its M-step and its scores.
+
+    ``var`` is the floored variance and ``floored`` whether the floor
+    bound; ``norm`` is D log 2 pi + sum log var. ``column`` is the
+    component's log-joint column over all N rows once scored, and
+    ``owners`` the cluster keys of the partition it was scored under
+    (None when no row can change owner). Arrays are read-only.
+    """
+
+    mean: np.ndarray
+    var: np.ndarray
+    floored: bool
+    log_w: float
+    norm: float = field(init=False)
+    column: Optional[np.ndarray] = None
+    owners: Optional[frozenset] = None
+
+    def __post_init__(self):
+        self.mean.setflags(write=False)
+        self.var.setflags(write=False)
+        self.norm = self.mean.shape[0] * _LOG_2PI + np.log(self.var).sum()
+
+
+@dataclass
 class ClusterMemo:
     """Per-cluster work shared by the fits of one K sweep.
 
-    Keys are cluster memberships: the bytes of a cluster's sorted row
-    indices. ``*_stats`` map a cluster to its mean and raw scatter;
-    ``*_columns`` map a component to its log-joint column over all N rows
-    and the set of cluster keys it was scored under. The ``sweep_`` tables
-    hold work on the sweep's fixed matrix, whose rows never change owner.
-    The ``aware_`` tables hold work on the cluster-aware matrices, whose row i
-    depends only on the members of i's own cluster: so a cluster's
-    statistics there depend only on its members, and a component's entry
-    for row i only on its members and on the cluster that owns row i.
-    Entries are read-only once stored. A memo is valid for one Gram matrix
-    and its sweep matrix.
+    Both tables map a cluster's membership (the bytes of its sorted row
+    indices) to its _Component. ``sweep`` holds components on the sweep's
+    fixed matrix, whose rows never change owner. ``aware`` holds them on
+    the cluster-aware matrices, whose row i depends only on the members of
+    i's own cluster: so a cluster's statistics there depend only on its
+    members, and a component's entry for row i only on its members and on
+    the cluster that owns row i. A memo is valid for one Gram matrix and
+    its sweep matrix.
     """
 
-    def __init__(self):
-        self.sweep_stats: dict = {}
-        self.sweep_columns: dict = {}
-        self.aware_stats: dict = {}
-        self.aware_columns: dict = {}
+    sweep: dict = field(default_factory=dict)
+    aware: dict = field(default_factory=dict)
 
 
 def _members(labels: np.ndarray, k: int) -> tuple[list, list]:
@@ -160,43 +180,45 @@ def _members(labels: np.ndarray, k: int) -> tuple[list, list]:
     return rows, [r.tobytes() for r in rows]
 
 
-def _cluster_stats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and raw scatter (denominator n_k) of a cluster's rows, taken in
-    row order; ``rows`` is a scratch copy and is overwritten."""
-    size = rows.shape[0]
-    mean = np.add.reduce(rows, axis=0)
-    mean /= size
-    rows -= mean
-    rows *= rows
-    raw = np.add.reduce(rows, axis=0)
-    raw /= size
-    mean.setflags(write=False)
-    raw.setflags(write=False)
-    return mean, raw
+def _mstep(x: np.ndarray, rows: list, keys: list, table: dict) -> list:
+    """The M-step on clusters given by their rows, one component each,
+    taken from ``table`` when its key is there. A new cluster's mean and
+    raw scatter (denominator n_k) are reductions over its own rows, in
+    row order."""
+    log_w = np.log(np.array([idx.size for idx in rows]) / x.shape[0])
+    comps = []
+    for idx, key, lw in zip(rows, keys, log_w):
+        comp = table.get(key)
+        if comp is None:
+            part = x[idx]
+            mean = np.add.reduce(part, axis=0)
+            mean /= idx.size
+            part -= mean
+            part *= part
+            raw = np.add.reduce(part, axis=0)
+            raw /= idx.size
+            floored = bool((raw < VARIANCE_FLOOR).any())
+            comp = table[key] = _Component(mean, np.maximum(raw, VARIANCE_FLOOR), floored, lw)
+        comps.append(comp)
+    return comps
 
 
-def _mstep(x: np.ndarray, rows: list, keys: list, stats: dict) -> MixtureParams:
-    """The M-step on clusters given by their rows, reusing ``stats``."""
-    n, d = x.shape
-    k = len(rows)
-    means = np.empty((k, d))
-    raw = np.empty((k, d))
-    for j, (idx, key) in enumerate(zip(rows, keys)):
-        entry = stats.get(key)
-        if entry is None:
-            entry = stats[key] = _cluster_stats(x[idx])
-        means[j], raw[j] = entry
-    sizes = np.array([idx.size for idx in rows])
-    floored = (raw < VARIANCE_FLOOR).any(axis=1)
-    return MixtureParams(sizes / n, means, np.maximum(raw, VARIANCE_FLOOR), floored=floored)
+def _params(comps: list, rows: list, n: int) -> MixtureParams:
+    """The MixtureParams of components with the given members, in order."""
+    return MixtureParams(
+        np.array([idx.size for idx in rows]) / n, [c.mean for c in comps],
+        [c.var for c in comps], floored=[c.floored for c in comps],
+    )
+
+
+def _components(params: MixtureParams) -> list:
+    """Unscored components of ``params``."""
+    log_w = np.log(params.weights)
+    return [_Component(*c) for c in zip(params.means, params.covariances, params.floored, log_w)]
 
 
 def _log_joint(
-    x: np.ndarray,
-    params: MixtureParams,
-    keys: Optional[list] = None,
-    columns: Optional[dict] = None,
-    rows: Optional[list] = None,
+    x: np.ndarray, comps: list, rows: Optional[list] = None, keys: Optional[list] = None
 ) -> np.ndarray:
     """(N, K) matrix of log w_k plus each component's log density.
 
@@ -205,47 +227,41 @@ def _log_joint(
     transpose of a C-ordered (K, N) array; sums over its components (as in
     mixture_loglik) take their order, and so their bits, from that layout.
 
-    ``columns`` holds earlier columns under the components' ``keys``. A
-    stored column is reused whole when ``rows`` is None. Otherwise the
-    components are the clusters of a partition, ``rows`` their members,
-    and only the rows of clusters outside the partition a column was
-    scored under are scored again: a row of a cluster inside it was scored
-    with that same cluster.
+    A component's stored column is reused whole when ``rows`` is None.
+    Otherwise the components are the clusters of a partition, ``rows``
+    their members and ``keys`` their memo keys, and only the rows of
+    clusters outside the partition a column was scored under are scored
+    again: a row of a cluster inside it was scored with that same cluster.
+    Every column scored is stored on its component.
     """
     n, d = x.shape
-    keys = range(params.k) if keys is None else keys
-    columns = {} if columns is None else columns
-    mu, v = params.means, params.covariances
-    norm = d * _LOG_2PI + np.log(v).sum(axis=1)
-    log_w = np.log(params.weights)
     diff = np.empty((n, d))
-    joint = np.empty((params.k, n))
+    joint = np.empty((len(comps), n))
     owners = None if rows is None else frozenset(keys)
-    for c, key in enumerate(keys):
-        entry = columns.get(key)
-        if entry is None:
+    for c, comp in enumerate(comps):
+        if comp.column is None:
             stale, part = slice(None), x
         else:
-            joint[c] = entry[0]
+            joint[c] = comp.column
             if rows is None:
                 continue
-            stale = [idx for idx, owner in zip(rows, keys) if owner not in entry[1]]
+            stale = [idx for idx, owner in zip(rows, keys) if owner not in comp.owners]
             if not stale:
                 continue
             stale = np.concatenate(stale)
             part = x[stale]
         buf = diff[: part.shape[0]]
-        np.subtract(part, mu[c], out=buf)
+        np.subtract(part, comp.mean, out=buf)
         buf *= buf
-        buf /= v[c]
+        buf /= comp.var
         scored = buf.sum(axis=1)
-        scored += norm[c]
+        scored += comp.norm
         scored *= -0.5
-        scored += log_w[c]
+        scored += comp.log_w
         joint[c, stale] = scored
-        stored = joint[c].copy()
-        stored.setflags(write=False)
-        columns[key] = (stored, owners)
+        comp.column = joint[c].copy()
+        comp.column.setflags(write=False)
+        comp.owners = owners
     return joint.T
 
 
@@ -268,7 +284,8 @@ def mstep(x: np.ndarray, labels: np.ndarray, k: int) -> MixtureParams:
 
     Each cluster is reduced over its own rows, in row order.
     """
-    return _mstep(x, *_members(labels, k), {})
+    rows, keys = _members(labels, k)
+    return _params(_mstep(x, rows, keys, {}), rows, x.shape[0])
 
 
 def estep(x: np.ndarray, params: MixtureParams) -> np.ndarray:
@@ -278,30 +295,12 @@ def estep(x: np.ndarray, params: MixtureParams) -> np.ndarray:
     indexing of ``params`` (canonicalization happens once, at the end of
     cem_fit); a component may come back empty.
     """
-    return _hard_labels(_log_joint(x, params))
+    return _hard_labels(_log_joint(x, _components(params)))
 
 
 def mixture_loglik(x: np.ndarray, params: MixtureParams) -> float:
     """Full mixture quasi log-likelihood via log-sum-exp over components."""
-    return _total_loglik(_log_joint(np.asarray(x, dtype=np.float64), params))
-
-
-def _reorder_to_canonical(
-    raw_labels: np.ndarray, params: MixtureParams
-) -> tuple[ClusterAssignment, MixtureParams]:
-    """Canonicalize labels and permute components to match."""
-    canon, k = canonicalize_labels(raw_labels)
-    order = np.empty(k, dtype=np.int64)
-    order[canon - 1] = raw_labels - 1
-    assignment = ClusterAssignment(canon, k)
-    params = replace(
-        params,
-        weights=params.weights[order],
-        means=params.means[order],
-        covariances=params.covariances[order],
-        floored=params.floored[order],
-    )
-    return assignment, params
+    return _total_loglik(_log_joint(np.asarray(x, dtype=np.float64), _components(params)))
 
 
 def cem_fit(
@@ -340,11 +339,10 @@ def cem_fit(
     emptied = False
     for _ in range(max_iter):
         rows, keys = _members(labels, k)
-        params = _mstep(x, rows, keys, memo.sweep_stats)
+        comps = _mstep(x, rows, keys, memo.sweep)
         iterations += 1
-        if params.floored.any():
-            floor_events += 1
-        new = _hard_labels(_log_joint(x, params, keys, memo.sweep_columns))
+        floor_events += any(c.floored for c in comps)
+        new = _hard_labels(_log_joint(x, comps))
         if (np.bincount(new, minlength=k + 1)[1:] == 0).any():
             emptied = True
             break
@@ -359,15 +357,16 @@ def cem_fit(
     else:
         aug = augment_with_clusters(g, ClusterAssignment(labels, k)).values
         rows, keys = _members(labels, k)
-        params = _mstep(aug, rows, keys, memo.aware_stats)
-        loglik = _total_loglik(_log_joint(aug, params, keys, memo.aware_columns, rows))
-        degenerate = bool(params.floored.any())
+        comps = _mstep(aug, rows, keys, memo.aware)
+        loglik = _total_loglik(_log_joint(aug, comps, rows, keys))
+        degenerate = any(c.floored for c in comps)
     n = m.n_objects
     score = float("-inf") if degenerate else bic(loglik, num_params(k, n), n)
-    assignment, params = _reorder_to_canonical(labels, params)
+    # canonical component order: clusters by their first member
+    order = np.argsort([idx[0] for idx in rows])
     return FitResult(
-        labels=assignment,
-        params=params,
+        labels=ClusterAssignment.from_raw(labels),
+        params=_params([comps[j] for j in order], [rows[j] for j in order], n),
         loglik=loglik,
         bic=score,
         iterations=iterations,

@@ -306,8 +306,12 @@ def expectation_check(spec: MixtureSpec, n: int, reps: int) -> ExpectationReport
 
 
 def _whole(name: str, value) -> int:
-    """``value`` as an int; 4.0 passes, and 4.7, "4" and NaN raise."""
-    if isinstance(value, int) or (isinstance(value, float) and value.is_integer()):
+    """``value`` as an int; 4, 4.0 and their numpy types pass, and True,
+    4.7, "4" and NaN raise."""
+    if not isinstance(value, bool) and (
+        isinstance(value, (int, np.integer))
+        or (isinstance(value, (float, np.floating)) and float(value).is_integer())
+    ):
         return int(value)
     raise ValueError(f"{name} must be a whole number, got {value!r}")
 

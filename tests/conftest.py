@@ -56,6 +56,9 @@ UNUSABLE_PLAN_EDITS = [
     {"p_grid": [0, 50]}, {"p_grid": [50, 50]},
     # an unknown key is rejected, not ignored
     {"sede": 7},
+    # a boolean is not a whole number, even where 1 would be valid
+    {"k0": True}, {"seed": True}, {"p_grid": [True, 50]},
+    {"k0": True, "weights": [1.0], "mean_patterns": [[1.0]], "variance_patterns": [[0.0]]},
 ]
 
 

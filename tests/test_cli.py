@@ -264,11 +264,20 @@ class TestEval:
     @pytest.mark.parametrize("header, ids", [
         (" Object_ID , LABEL ", ["s1", "s2", "s3", "s4"]),
         ("id,cluster", ["1", "2", "3", "4"]),
-    ], ids=["object_id_label", "only_non_numeric_id"])
+        ("name,cluster", ["s1", "s2", "s3", "s4"]),
+    ], ids=["object_id_label", "only_non_numeric_id", "only_non_numeric_label"])
     def test_header_skipped(self, tmp_path, capsys, header, ids):
         pred = [header] + [f"{i},{lab}" for i, lab in zip(ids, [1, 1, 2, 2])]
         truth = [header] + [f"{i},{lab}" for i, lab in zip(ids, [1, 2, 1, 2])]
         assert self.eval_lines(tmp_path, capsys, pred, truth) == "-0.500000"
+
+    @pytest.mark.parametrize("first", ["5", "name"])
+    def test_short_row_exit_1(self, tmp_path, capsys, first):
+        # a row without a label is an error, also as the first row, unless
+        # the first row's id is the only one that is not a number
+        (tmp_path / "a.csv").write_text(f"{first}\n1,1\n2,2\n")
+        code = main(["eval", str(tmp_path / "a.csv"), str(tmp_path / "a.csv")])
+        assert code == (0 if first == "name" else 1)
 
     def test_object_id_mismatch_exit_1(self, tmp_path, capsys):
         a = tmp_path / "a.csv"

@@ -24,8 +24,8 @@ from gramclust.mixture import (
     VARIANCE_FLOOR,
     ClusterMemo,
     MixtureParams,
+    _components,
     _log_joint,
-    _reorder_to_canonical,
     mixture_loglik,
 )
 from tests.conftest import assert_same_fit, two_cluster_spec
@@ -47,7 +47,7 @@ def component_density_log(row, mean, cov) -> float:
 def classification_loglik(x, params, labels) -> float:
     """Sum of log w_k + log-density of each row under its assigned
     component (the quantity each CEM sweep cannot decrease, floor aside)."""
-    joint = _log_joint(np.asarray(x, dtype=np.float64), params)
+    joint = _log_joint(np.asarray(x, dtype=np.float64), _components(params))
     idx = np.asarray(labels, dtype=np.int64) - 1
     return float(joint[np.arange(joint.shape[0]), idx].sum())
 
@@ -106,10 +106,20 @@ class TestMixtureParams:
                 getattr(params, name)[0] = 0
 
     def test_reorder_hand_built(self):
-        labels, params = _reorder_to_canonical(np.array([2, 1, 2]), self.params([False, True]))
-        np.testing.assert_array_equal(labels.labels, [1, 2, 1])
-        np.testing.assert_array_equal(params.floored, [True, False])
-        np.testing.assert_array_equal(params.weights, [0.75, 0.25])
+        # component 1 of the init is object 2 alone; cem_fit reports it
+        # second, as the canonical labels do
+        rng = np.random.default_rng(3)
+        base = rng.normal(size=50)
+        rows = [base + 0.3 * rng.normal(size=50) for _ in range(4)]
+        rows[1] = -base
+        g = gram(standardize_columns(FeatureMatrix(np.vstack(rows))))
+        fit = cem_fit(g, augment(g), ClusterAssignment(np.array([2, 1, 2, 2]), 2))
+        np.testing.assert_array_equal(fit.labels.labels, [1, 2, 1, 1])
+        np.testing.assert_array_equal(fit.params.weights, [0.75, 0.25])
+        np.testing.assert_array_equal(fit.params.floored, [False, True])
+        fresh = mstep(augment_with_clusters(g, fit.labels).values, fit.labels.labels, 2)
+        for name in ("means", "covariances"):
+            assert getattr(fit.params, name).tobytes() == getattr(fresh, name).tobytes()
 
 
 class TestMstep:
@@ -255,6 +265,35 @@ class TestCemFit:
         assert np.array_equal(f1.params.weights, f2.params.weights)
         assert np.array_equal(f1.params.means, f2.params.means)
 
+    def test_one_mixture_params_per_fit(self, monkeypatch, separated_instance):
+        # the loop works on components; only the reported fit is a
+        # MixtureParams, and it is validated
+        built = []
+        post_init = MixtureParams.__post_init__
+
+        def counting(params):
+            built.append(params)
+            post_init(params)
+
+        monkeypatch.setattr(MixtureParams, "__post_init__", counting)
+        _, fm, truth = separated_instance
+        g = gram(standardize_columns(fm))
+        m = augment(g)
+        init_labels = truth.canonicalized().labels.copy()
+        init_labels[0] = 3 - init_labels[0]
+        inits = [ClusterAssignment(init_labels, 2), cut_tree(ward_linkage(m.values), 3)]
+        memo = ClusterMemo()
+        for init in inits + inits:
+            built.clear()
+            fit = cem_fit(g, m, init, memo=memo)
+            assert len(built) == 1 and built[0] is fit.params
+        assert cem_fit(g, m, inits[0]).iterations > 1
+        row = np.array([1.0, 2.0, 3.0, 4.0])
+        built.clear()
+        fit = cem_fit(GramMatrix(np.zeros((3, 3))), make_m(np.vstack([row, row, row])),
+                      ClusterAssignment(np.array([1, 1, 2]), 2))
+        assert fit.degenerate and len(built) == 1 and built[0] is fit.params
+
     def test_empty_estep_degenerate(self):
         # identical rows, 2/1 init: both components land on the same mean
         # and floored variances, weights favor component 1, E-step empties
@@ -336,7 +375,7 @@ class TestCemFit:
                 ]
                 for r in x
             ])
-            joint = _log_joint(x, params)
+            joint = _log_joint(x, _components(params))
             assert np.array_equal(joint, ref)
             # the layout that fixes the summation order of mixture_loglik's
             # row sums
@@ -393,7 +432,7 @@ class TestKernelOracle:
                 # all components equal: every row ties k ways
                 means[:], cov[:], w[:] = means[0], cov[0], w[0]
             params = MixtureParams(w / w.sum(), means, cov)
-            joint = _log_joint(x, params)
+            joint = _log_joint(x, _components(params))
             tied_rows += int(((joint == joint.max(axis=1, keepdims=True)).sum(axis=1) > 1).sum())
             assert mixture_loglik(x, params) == float(logsumexp(joint, axis=1).sum())
         assert tied_rows > 0
@@ -405,15 +444,25 @@ class TestKernelOracle:
             params = MixtureParams(
                 np.full(k, 1.0 / k), rng.uniform(size=(k, 1)), np.full((k, 1), 0.5 / np.pi)
             )
-            joint = _log_joint(x, params)
+            joint = _log_joint(x, _components(params))
             assert mixture_loglik(x, params) == float(logsumexp(joint, axis=1).sum())
+
+
+def assert_frozen(comps):
+    """Stored columns, means and variances of components are read-only."""
+    for comp in comps:
+        for arr in (comp.column, comp.mean, comp.var):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestClusterMemo:
     def test_stale_rows_rescored(self):
         # rows 3 and 7 move from cluster c to cluster d (and change value);
         # every other row keeps its cluster, so the stored columns of a and
-        # b are reused there and rescored at 3 and 7, and d is scored whole
+        # b are reused there and rescored at 3 and 7, and d, a new record,
+        # is scored whole
         rng = np.random.default_rng(31)
         n, k = 12, 3
         x1 = rng.normal(size=(n, n + 1))
@@ -426,16 +475,19 @@ class TestClusterMemo:
             np.full(k, 1.0 / k), rng.normal(size=(k, n + 1)),
             rng.uniform(0.5, 2.0, size=(k, n + 1)),
         )
-        columns: dict = {}
-        first = _log_joint(x1, params, keys1, columns, rows)
-        assert first.tobytes() == _log_joint(x1, params).tobytes()
-        again = _log_joint(x2, params, keys2, columns, rows)
+        fresh = lambda x: _log_joint(x, _components(params)).tobytes()
+        comps = _components(params)
+        first = _log_joint(x1, comps, rows, keys1)
+        assert first.tobytes() == fresh(x1)
+        comps = comps[:2] + _components(params)[2:]
+        again = _log_joint(x2, comps, rows, keys2)
         assert again.T.flags.c_contiguous
-        assert again.tobytes() == _log_joint(x2, params).tobytes()
+        assert again.tobytes() == fresh(x2)
+        assert all(c.owners == frozenset(keys2) for c in comps)
         # under an unchanged partition the stored rows are trusted as they are
-        kept = _log_joint(x1, params, keys2, columns, rows)
+        kept = _log_joint(x1, comps, rows, keys2)
         assert kept.tobytes() == again.tobytes()
-        assert all(not col.flags.writeable for col, _ in columns.values())
+        assert_frozen(comps)
 
     def test_shared_memo_matches_fresh(self):
         # non-nested random partitions that keep some clusters of a base
@@ -465,6 +517,7 @@ class TestClusterMemo:
             shared = cem_fit(g, m, init, max_iter=max_iter, memo=memo)
             assert_same_fit(shared, cem_fit(g, m, init, max_iter=max_iter))
             fits.append(shared)
+        assert_frozen(list(memo.sweep.values()) + list(memo.aware.values()))
         # some fit reused a component whose stored column was scored under
         # a different partition, so its stale rows were scored again
         stale_reuse = 0

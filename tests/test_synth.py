@@ -229,6 +229,14 @@ class TestSimulationPlan:
         assert (plan.n, plan.reps, plan.p_grid, plan.seed) == (6, 30, (50,), 3)
         assert all(type(v) is int for v in (plan.n, plan.reps, plan.p_grid[0], plan.seed))
 
+    def test_numpy_counts_become_ints(self):
+        plan = SimulationPlan(**simulation_plan(
+            k0=np.int64(2), n=np.int32(6), reps=np.float32(30.0),
+            p_grid=np.array([50, 100]), seed=np.float64(3.0),
+        ))
+        assert (plan.k0, plan.n, plan.reps, plan.p_grid, plan.seed) == (2, 6, 30, (50, 100), 3)
+        assert all(type(v) is int for v in (plan.k0, plan.n, plan.reps, *plan.p_grid, plan.seed))
+
     @pytest.mark.parametrize("raw", [
         simulation_plan(reps=10),
         *(simulation_plan(**over) for over in NON_FINITE_PLAN_EDITS + UNUSABLE_PLAN_EDITS),
@@ -236,6 +244,7 @@ class TestSimulationPlan:
         simulation_plan(mean_patterns=[[1.0]]),
         simulation_plan(weights=[0.3, 0.3]), simulation_plan(weights=[0.5, 0.25, 0.25]),
         {key: value for key, value in simulation_plan().items() if key != "n"},
+        simulation_plan(seed=np.True_), simulation_plan(p_grid=np.array([50.5, 100.0])),
     ])
     def test_bad_plan_raises(self, raw):
         with pytest.raises((TypeError, ValueError)):
