@@ -16,8 +16,6 @@ from .mixture import (
     MixtureParams,
     bic,
     cem_fit,
-    estep,
-    mstep,
     num_params,
 )
 from .select import ClusterOutput, cluster_features
@@ -59,8 +57,6 @@ __all__ = [
     "MixtureParams",
     "bic",
     "cem_fit",
-    "estep",
-    "mstep",
     "num_params",
     "ClusterOutput",
     "cluster_features",

@@ -180,23 +180,28 @@ def _read_assignment_csv(path: str, delimiter: str = ",") -> dict:
     object_id,label (as ``cluster`` writes it), or when its id is the only
     id in the file that is not a number, or its label the only such label."""
     with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh, delimiter=delimiter) if r]
+        rows = [(lineno, [field.strip() for field in row])
+                for lineno, row in enumerate(csv.reader(fh, delimiter=delimiter), start=1)
+                if row]
     if not rows:
         raise DataError("empty assignment file")
-    # a missing label counts as a number here; its row is rejected below
-    numeric = [[col >= len(row) or _is_number(row[col]) for row in rows] for col in (0, 1)]
-    header = [field.strip().lower() for field in rows[0]] == ["object_id", "label"] or any(
+    # a missing or blank field counts as a number here; its row is
+    # rejected below
+    numeric = [[col >= len(row) or not row[col] or _is_number(row[col]) for _, row in rows]
+               for col in (0, 1)]
+    header = [field.lower() for field in rows[0][1]] == ["object_id", "label"] or any(
         not column[0] and all(column[1:]) for column in numeric
     )
-    start = int(header)
     mapping = {}
-    for lineno, row in enumerate(rows[start:], start=start + 1):
+    for lineno, row in rows[int(header):]:
         if len(row) < 2:
             raise DataError("need object_id and label columns", line=lineno)
-        oid = row[0].strip()
+        oid, label = row[:2]
+        if not oid or not label:
+            raise DataError("blank label" if oid else "blank object id", line=lineno)
         if oid in mapping:
             raise DataError(f"duplicate object id {oid!r}", line=lineno)
-        mapping[oid] = row[1].strip()
+        mapping[oid] = label
     return mapping
 
 

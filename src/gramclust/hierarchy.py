@@ -32,10 +32,9 @@ class ClusterAssignment:
     """Length-N vector of cluster identifiers in 1..k.
 
     ``from_raw`` canonicalizes arbitrary labels (cluster 1 is the cluster
-    of object 1, indices in order of first occurrence) which makes
-    assignments comparable across runs. Direct construction only checks
-    the 1..k range: transient assignments inside the EM loop keep stable
-    component indices and may leave a component empty.
+    of object 1, indices in order of first occurrence, none empty) which
+    makes assignments comparable across runs. Direct construction only
+    checks the 1..k range, so an index in 1..k may label no object.
     """
 
     labels: np.ndarray
@@ -61,17 +60,8 @@ class ClusterAssignment:
         return ClusterAssignment.from_raw(self.labels)
 
     @property
-    def is_canonical(self) -> bool:
-        canon, k = canonicalize_labels(self.labels)
-        return k == self.k and bool(np.array_equal(canon, self.labels))
-
-    @property
     def n_objects(self) -> int:
         return int(self.labels.shape[0])
-
-    def sizes(self) -> np.ndarray:
-        """Counts per cluster index 1..k (zeros mark empty components)."""
-        return np.bincount(self.labels, minlength=self.k + 1)[1:]
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,7 @@ class MixtureParams:
     weights: np.ndarray
     means: np.ndarray
     covariances: np.ndarray
-    floored: Optional[np.ndarray] = None
+    floored: np.ndarray
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64).copy()
@@ -64,10 +64,7 @@ class MixtureParams:
             raise ValueError("diagonal covariances must be (K, D)")
         if np.min(cov) < VARIANCE_FLOOR:
             raise ValueError("diagonal variance below the floor")
-        if self.floored is None:
-            fl = np.zeros(k, dtype=bool)
-        else:
-            fl = np.asarray(self.floored, dtype=bool).copy()
+        fl = np.asarray(self.floored, dtype=bool).copy()
         if fl.shape != (k,):
             raise ValueError("floored must be a K-vector")
         for name, arr in (
@@ -211,12 +208,6 @@ def _params(comps: list, rows: list, n: int) -> MixtureParams:
     )
 
 
-def _components(params: MixtureParams) -> list:
-    """Unscored components of ``params``."""
-    log_w = np.log(params.weights)
-    return [_Component(*c) for c in zip(params.means, params.covariances, params.floored, log_w)]
-
-
 def _log_joint(
     x: np.ndarray, comps: list, rows: Optional[list] = None, keys: Optional[list] = None
 ) -> np.ndarray:
@@ -224,8 +215,8 @@ def _log_joint(
 
     Components are scored one at a time in one reused (N, D) buffer, each
     row summing its D terms in one contiguous reduction. The result is the
-    transpose of a C-ordered (K, N) array; sums over its components (as in
-    mixture_loglik) take their order, and so their bits, from that layout.
+    transpose of a C-ordered (K, N) array; _total_loglik's log-sum-exp over
+    a row's components takes its order, and so its bits, from that layout.
 
     A component's stored column is reused whole when ``rows`` is None.
     Otherwise the components are the clusters of a partition, ``rows``
@@ -275,32 +266,6 @@ def _total_loglik(joint: np.ndarray) -> float:
     from scipy.special import logsumexp
 
     return float(logsumexp(joint, axis=1).sum())
-
-
-def mstep(x: np.ndarray, labels: np.ndarray, k: int) -> MixtureParams:
-    """Hard M-step on the rows of ``x`` for labels in 1..k: weights n_k/N,
-    within-cluster means and diagonal variances (denominator n_k), floored
-    at 1e-8.
-
-    Each cluster is reduced over its own rows, in row order.
-    """
-    rows, keys = _members(labels, k)
-    return _params(_mstep(x, rows, keys, {}), rows, x.shape[0])
-
-
-def estep(x: np.ndarray, params: MixtureParams) -> np.ndarray:
-    """Hard E-step: label each row of ``x`` with its argmax component.
-
-    Ties go to the smallest component index. Labels keep the component
-    indexing of ``params`` (canonicalization happens once, at the end of
-    cem_fit); a component may come back empty.
-    """
-    return _hard_labels(_log_joint(x, _components(params)))
-
-
-def mixture_loglik(x: np.ndarray, params: MixtureParams) -> float:
-    """Full mixture quasi log-likelihood via log-sum-exp over components."""
-    return _total_loglik(_log_joint(np.asarray(x, dtype=np.float64), _components(params)))
 
 
 def cem_fit(

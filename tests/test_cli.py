@@ -279,6 +279,22 @@ class TestEval:
         code = main(["eval", str(tmp_path / "a.csv"), str(tmp_path / "a.csv")])
         assert code == (0 if first == "name" else 1)
 
+    @pytest.mark.parametrize("text, error", [
+        ("1,1\n\n\n2\n", "line 4: need object_id and label columns"),
+        ("1,1\n\n1,2\n", "line 3: duplicate object id '1'"),
+        ("1,1\n2,\n3,2\n4,2\n", "line 2: blank label"),
+        ("1,1\n ,1\n3,2\n4,2\n", "line 2: blank object id"),
+        ("1,\n2,1\n3,2\n4,2\n", "line 1: blank label"),
+    ], ids=["short_after_blank_lines", "duplicate_after_blank_line", "blank_label",
+            "blank_id", "blank_first_label"])
+    def test_bad_row_exit_1(self, tmp_path, capsys, text, error):
+        # lines are counted as in the file, blank lines included; a blank
+        # first-row label is not read as a header
+        (tmp_path / "a.csv").write_text(text)
+        write_assignment_csv(tmp_path / "b.csv", range(1, 5), [1, 1, 2, 2])
+        assert main(["eval", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]) == 1
+        assert capsys.readouterr().err.strip() == f"error: {error}"
+
     def test_object_id_mismatch_exit_1(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

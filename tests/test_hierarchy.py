@@ -214,8 +214,9 @@ class TestCutTree:
         for k in range(1, 10):
             a = cut_tree(d, k)
             assert a.k == k
-            assert (a.sizes() > 0).all()
-            assert a.is_canonical
+            assert (np.bincount(a.labels, minlength=k + 1)[1:] > 0).all()
+            canon = ClusterAssignment.from_raw(a.labels)
+            assert canon.k == k and np.array_equal(canon.labels, a.labels)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(9)

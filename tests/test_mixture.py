@@ -10,9 +10,7 @@ from gramclust import (
     GramMatrix,
     bic,
     cem_fit,
-    estep,
     gram,
-    mstep,
     num_params,
     standardize_columns,
     augment_with_clusters,
@@ -24,9 +22,13 @@ from gramclust.mixture import (
     VARIANCE_FLOOR,
     ClusterMemo,
     MixtureParams,
-    _components,
+    _Component,
+    _hard_labels,
     _log_joint,
-    mixture_loglik,
+    _members,
+    _mstep,
+    _params,
+    _total_loglik,
 )
 from tests.conftest import assert_same_fit, two_cluster_spec
 
@@ -44,12 +46,27 @@ def component_density_log(row, mean, cov) -> float:
     return -0.5 * (d * math.log(2.0 * math.pi) + logdet + quad)
 
 
-def classification_loglik(x, params, labels) -> float:
+def classification_loglik(joint, labels) -> float:
     """Sum of log w_k + log-density of each row under its assigned
     component (the quantity each CEM sweep cannot decrease, floor aside)."""
-    joint = _log_joint(np.asarray(x, dtype=np.float64), _components(params))
-    idx = np.asarray(labels, dtype=np.int64) - 1
-    return float(joint[np.arange(joint.shape[0]), idx].sum())
+    return float(joint[np.arange(joint.shape[0]), labels - 1].sum())
+
+
+def fresh_mstep(x, labels, k):
+    """cem_fit's M-step on an empty memo: the MixtureParams it reports and
+    the component records."""
+    rows, keys = _members(labels, k)
+    comps = _mstep(x, rows, keys, {})
+    return _params(comps, rows, x.shape[0]), comps
+
+
+def components(weights, means, variances):
+    """Unscored, unfloored component records with these parameters."""
+    log_w = np.log(np.asarray(weights, dtype=np.float64))
+    return [
+        _Component(np.array(mu, dtype=np.float64), np.array(v, dtype=np.float64), False, lw)
+        for mu, v, lw in zip(means, variances, log_w)
+    ]
 
 
 def make_m(values):
@@ -81,7 +98,7 @@ class TestDensity:
 
 
 class TestMixtureParams:
-    def params(self, floored=None):
+    def params(self, floored=(False, False)):
         return MixtureParams(
             weights=np.array([0.25, 0.75]),
             means=np.array([[0.0, 1.0], [2.0, 3.0]]),
@@ -89,10 +106,12 @@ class TestMixtureParams:
             floored=floored,
         )
 
-    def test_floored_defaults_to_none_floored(self):
-        floored = self.params().floored
+    def test_floored_required(self):
+        with pytest.raises(TypeError, match="floored"):
+            MixtureParams(np.array([1.0]), np.zeros((1, 2)), np.ones((1, 2)))
+        floored = self.params([1, 0]).floored
         assert floored.dtype == bool
-        np.testing.assert_array_equal(floored, [False, False])
+        np.testing.assert_array_equal(floored, [True, False])
 
     @pytest.mark.parametrize("floored", [[True], [[True, False]], [True, False, True]])
     def test_floored_shape_checked(self, floored):
@@ -117,7 +136,7 @@ class TestMixtureParams:
         np.testing.assert_array_equal(fit.labels.labels, [1, 2, 1, 1])
         np.testing.assert_array_equal(fit.params.weights, [0.75, 0.25])
         np.testing.assert_array_equal(fit.params.floored, [False, True])
-        fresh = mstep(augment_with_clusters(g, fit.labels).values, fit.labels.labels, 2)
+        fresh, _ = fresh_mstep(augment_with_clusters(g, fit.labels).values, fit.labels.labels, 2)
         for name in ("means", "covariances"):
             assert getattr(fit.params, name).tobytes() == getattr(fresh, name).tobytes()
 
@@ -125,7 +144,7 @@ class TestMixtureParams:
 class TestMstep:
     def test_single_cluster(self):
         m = make_m(np.random.default_rng(1).normal(size=(5, 6)))
-        params = mstep(m.values, np.ones(5, dtype=np.int64), 1)
+        params, _ = fresh_mstep(m.values, np.ones(5, dtype=np.int64), 1)
         assert params.weights[0] == 1.0
         np.testing.assert_allclose(params.means[0], m.values.mean(axis=0))
         np.testing.assert_allclose(
@@ -136,14 +155,14 @@ class TestMstep:
     def test_identical_rows_hit_floor(self):
         row = np.array([1.0, -2.0, 3.0])
         x = np.vstack([row, row, row + 5.0, row + 5.0])
-        params = mstep(x, np.array([1, 1, 2, 2]), 2)
+        params, _ = fresh_mstep(x, np.array([1, 1, 2, 2]), 2)
         assert np.all(params.covariances == VARIANCE_FLOOR)
         np.testing.assert_array_equal(params.means[0], row)
         assert params.floored.all()
 
     def test_two_row_cluster(self):
         x = np.array([[0.0, 0.0], [2.0, 0.0], [9.0, 9.0]])
-        params = mstep(x, np.array([1, 1, 2]), 2)
+        params, _ = fresh_mstep(x, np.array([1, 1, 2]), 2)
         np.testing.assert_allclose(params.means[0], [1.0, 0.0])
         # population denominator n_k: ((0-1)^2 + (2-1)^2)/2 = 1
         assert params.covariances[0][0] == pytest.approx(1.0)
@@ -153,35 +172,41 @@ class TestMstep:
     def test_empty_cluster_raises(self):
         m = make_m(np.random.default_rng(2).normal(size=(4, 5)))
         with pytest.raises(EmptyClusterError):
-            mstep(m.values, np.array([1, 1, 1, 1]), 2)
+            fresh_mstep(m.values, np.array([1, 1, 1, 1]), 2)
 
 
 class TestEstep:
     def test_single_component(self):
         m = make_m(np.random.default_rng(4).normal(size=(5, 6)))
-        params = mstep(m.values, np.ones(5, dtype=np.int64), 1)
-        out = estep(m.values, params)
+        _, comps = fresh_mstep(m.values, np.ones(5, dtype=np.int64), 1)
+        out = _hard_labels(_log_joint(m.values, comps))
         np.testing.assert_array_equal(out, np.ones(5))
 
     def test_nearest_mean_under_equal_spherical(self):
-        params = MixtureParams(
-            weights=np.array([0.5, 0.5]),
-            means=np.array([[0.0, 0.0], [4.0, 0.0]]),
-            covariances=np.ones((2, 2)),
-        )
-        m = make_m([[2.1, 0.0]])  # closer to mean 2 by epsilon
-        # single row: widen to valid M shape is unnecessary here, bypass type
-        scores = estep(np.array([[2.1, 0.0]]), params)
+        comps = components([0.5, 0.5], [[0.0, 0.0], [4.0, 0.0]], np.ones((2, 2)))
+        # closer to mean 2 by epsilon
+        scores = _hard_labels(_log_joint(np.array([[2.1, 0.0]]), comps))
         assert scores[0] == 2
 
     def test_tie_goes_to_smallest_index(self):
-        params = MixtureParams(
-            weights=np.array([0.5, 0.5]),
-            means=np.array([[0.0, 0.0], [4.0, 0.0]]),
-            covariances=np.ones((2, 2)),
-        )
-        scores = estep(np.array([[2.0, 0.0]]), params)
+        comps = components([0.5, 0.5], [[0.0, 0.0], [4.0, 0.0]], np.ones((2, 2)))
+        scores = _hard_labels(_log_joint(np.array([[2.0, 0.0]]), comps))
         assert scores[0] == 1
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda g, m: cem_fit(g, m, ClusterAssignment(np.ones(3, dtype=np.int64), 1), max_iter=0),
+     "max_iter must be >= 1"),
+    (lambda g, m: cem_fit(g, m, ClusterAssignment(np.ones(2, dtype=np.int64), 1)),
+     "init length"),
+    (lambda g, m: num_params(0, 3), "k >= 1"),
+    (lambda g, m: num_params(2, 1), "n >= 2"),
+    (lambda g, m: bic(-1.0, 5, 1), "n >= 2"),
+], ids=["max_iter_0", "init_length", "num_params_k0", "num_params_n1", "bic_n1"])
+def test_argument_checks(call, match):
+    g = GramMatrix(np.eye(3))
+    with pytest.raises(ValueError, match=match):
+        call(g, augment(g))
 
 
 def prepared_instance(spec, n):
@@ -199,8 +224,8 @@ class TestCemFit:
         fit = cem_fit(g, m, init)
         assert fit.converged and fit.iterations == 1
         md = augment_with_clusters(g, fit.labels)
-        params = mstep(md.values, fit.labels.labels, fit.labels.k)
-        assert fit.loglik == pytest.approx(mixture_loglik(md.values, params))
+        _, comps = fresh_mstep(md.values, fit.labels.labels, fit.labels.k)
+        assert fit.loglik == _total_loglik(_log_joint(md.values, comps))
 
     def test_truth_init_stable_one_sweep(self, separated_instance):
         spec, fm, truth = separated_instance
@@ -329,12 +354,13 @@ class TestCemFit:
         labels = init.labels.copy()
         prev = None
         for _ in range(60):
-            params = mstep(m.values, labels, 3)
-            after_m = classification_loglik(m.values, params, labels)
-            if prev is not None and not params.floored.any():
+            _, comps = fresh_mstep(m.values, labels, 3)
+            joint = _log_joint(m.values, comps)
+            after_m = classification_loglik(joint, labels)
+            if prev is not None and not any(c.floored for c in comps):
                 assert after_m >= prev - 1e-9
-            new = estep(m.values, params)
-            after_e = classification_loglik(m.values, params, new)
+            new = _hard_labels(joint)
+            after_e = classification_loglik(joint, new)
             assert after_e >= after_m - 1e-9
             if np.array_equal(new, labels):
                 break
@@ -344,7 +370,7 @@ class TestCemFit:
     def test_mixture_loglik_matches_naive(self):
         spec = two_cluster_spec(1.0, 60, seed=13)
         g, m, truth = prepared_instance(spec, 8)
-        params = mstep(m.values, truth.labels, truth.k)
+        params, comps = fresh_mstep(m.values, truth.labels, truth.k)
         dens = np.array([
             [
                 component_density_log(r, params.means[j], params.covariances[j])
@@ -353,7 +379,7 @@ class TestCemFit:
             for r in m.values
         ])
         naive = float(np.log((params.weights * np.exp(dens)).sum(axis=1)).sum())
-        assert mixture_loglik(m.values, params) == pytest.approx(naive, abs=1e-9)
+        assert _total_loglik(_log_joint(m.values, comps)) == pytest.approx(naive, abs=1e-9)
 
     def test_log_joint_matches_per_row_density(self):
         rng = np.random.default_rng(17)
@@ -361,29 +387,23 @@ class TestCemFit:
         # shapes
         for n, k in [(300, 5), (40, 6), (60, 20), (400, 20)]:
             x = rng.normal(size=(n, n + 1))
-            params = MixtureParams(
-                weights=np.full(k, 1.0 / k),
-                means=rng.normal(size=(k, n + 1)),
-                covariances=rng.uniform(0.5, 2.0, size=(k, n + 1)),
-            )
-            log_w = np.log(params.weights)
+            w = np.full(k, 1.0 / k)
+            means = rng.normal(size=(k, n + 1))
+            cov = rng.uniform(0.5, 2.0, size=(k, n + 1))
+            log_w = np.log(w)
             ref = np.array([
-                [
-                    log_w[j]
-                    + component_density_log(r, params.means[j], params.covariances[j])
-                    for j in range(k)
-                ]
+                [log_w[j] + component_density_log(r, means[j], cov[j]) for j in range(k)]
                 for r in x
             ])
-            joint = _log_joint(x, _components(params))
+            joint = _log_joint(x, components(w, means, cov))
             assert np.array_equal(joint, ref)
-            # the layout that fixes the summation order of mixture_loglik's
+            # the layout that fixes the summation order of _total_loglik's
             # row sums
             assert joint.T.flags.c_contiguous
 
 
 def reference_mstep(x, labels, k):
-    """Masked per-cluster means and variances: oracle for mstep."""
+    """Masked per-cluster means and variances: oracle for the M-step."""
     d = x.shape[1]
     means, raw = np.empty((k, d)), np.empty((k, d))
     for j in range(k):
@@ -406,7 +426,7 @@ class TestKernelOracle:
             rng.shuffle(labels)
             first = np.flatnonzero(labels == 1)
             x[first] = x[first[0]]  # cluster 1 collapses onto the floor
-            params = mstep(x, labels, k)
+            params, _ = fresh_mstep(x, labels, k)
             means, raw = reference_mstep(x, labels, k)
             assert np.array_equal(params.means, means)
             assert np.array_equal(params.covariances, np.maximum(raw, VARIANCE_FLOOR))
@@ -431,21 +451,21 @@ class TestKernelOracle:
             elif case % 3 == 2:
                 # all components equal: every row ties k ways
                 means[:], cov[:], w[:] = means[0], cov[0], w[0]
-            params = MixtureParams(w / w.sum(), means, cov)
-            joint = _log_joint(x, _components(params))
+            comps = components(w / w.sum(), means, cov)
+            joint = _log_joint(x, comps)
             tied_rows += int(((joint == joint.max(axis=1, keepdims=True)).sum(axis=1) > 1).sum())
-            assert mixture_loglik(x, params) == float(logsumexp(joint, axis=1).sum())
+            assert _total_loglik(_log_joint(x, comps)) == float(logsumexp(joint, axis=1).sum())
         assert tied_rows > 0
         for _ in range(40):
             # one coordinate, 8-20 components all within a factor e^pi of
             # the row maximum: the order of the row sum shows in the result
             k = int(rng.integers(8, 21))
             x = rng.uniform(size=(int(rng.integers(10, 120)), 1))
-            params = MixtureParams(
+            comps = components(
                 np.full(k, 1.0 / k), rng.uniform(size=(k, 1)), np.full((k, 1), 0.5 / np.pi)
             )
-            joint = _log_joint(x, _components(params))
-            assert mixture_loglik(x, params) == float(logsumexp(joint, axis=1).sum())
+            joint = _log_joint(x, comps)
+            assert _total_loglik(_log_joint(x, comps)) == float(logsumexp(joint, axis=1).sum())
 
 
 def assert_frozen(comps):
@@ -471,15 +491,13 @@ class TestClusterMemo:
         rows = [np.array([0, 1, 2, 4, 5, 6]), np.array([8, 9, 10, 11]), np.array([3, 7])]
         keys1 = [b"a", b"b", b"c"]
         keys2 = [b"a", b"b", b"d"]
-        params = MixtureParams(
-            np.full(k, 1.0 / k), rng.normal(size=(k, n + 1)),
-            rng.uniform(0.5, 2.0, size=(k, n + 1)),
-        )
-        fresh = lambda x: _log_joint(x, _components(params)).tobytes()
-        comps = _components(params)
+        params = (np.full(k, 1.0 / k), rng.normal(size=(k, n + 1)),
+                  rng.uniform(0.5, 2.0, size=(k, n + 1)))
+        fresh = lambda x: _log_joint(x, components(*params)).tobytes()
+        comps = components(*params)
         first = _log_joint(x1, comps, rows, keys1)
         assert first.tobytes() == fresh(x1)
-        comps = comps[:2] + _components(params)[2:]
+        comps = comps[:2] + components(*params)[2:]
         again = _log_joint(x2, comps, rows, keys2)
         assert again.T.flags.c_contiguous
         assert again.tobytes() == fresh(x2)
