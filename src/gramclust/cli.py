@@ -161,6 +161,7 @@ def cmd_cluster(input_path: str, config: argparse.Namespace) -> int:
                 "bic": _jsonable(fit.bic),
                 "converged": fit.converged,
                 "degenerate": fit.degenerate,
+                "degenerate_reason": fit.degenerate_reason,
                 "floor_events": fit.floor_events,
                 "iterations": fit.iterations,
                 "loglik": _jsonable(fit.loglik),

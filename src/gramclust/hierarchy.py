@@ -56,9 +56,6 @@ class ClusterAssignment:
         canon, k = canonicalize_labels(labels)
         return cls(canon, k)
 
-    def canonicalized(self) -> "ClusterAssignment":
-        return ClusterAssignment.from_raw(self.labels)
-
     @property
     def n_objects(self) -> int:
         return int(self.labels.shape[0])

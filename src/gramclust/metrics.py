@@ -54,7 +54,7 @@ class ContingencyTable:
 
 def _coerce(labels) -> ClusterAssignment:
     if isinstance(labels, ClusterAssignment):
-        return labels.canonicalized()
+        labels = labels.labels
     return ClusterAssignment.from_raw(labels)
 
 

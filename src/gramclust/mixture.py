@@ -3,9 +3,10 @@ an augmented Gram matrix.
 
 The loop alternates a hard M-step (component weights, means, covariances
 from the current assignment, all with denominator n_k) and a hard E-step
-(argmax of weighted log-density) on a fixed input matrix. Scoring (the
-quasi log-likelihood and its BIC) happens afterwards on the cluster-aware
-matrix rebuilt from the final assignment.
+(argmax of weighted log-density) on a fixed input matrix. A last M-step
+on the cluster-aware matrix of the final assignment then decides whether
+the fit is degenerate; only a fit that is not gets scored (the quasi
+log-likelihood and its BIC).
 
 Every per-cluster quantity depends only on the cluster's members: its
 statistics are reductions over its own rows, in row order, and a
@@ -25,11 +26,23 @@ import numpy as np
 from .data import GramMatrix
 from .errors import EmptyClusterError
 from .hierarchy import ClusterAssignment
-from .transform import AugmentedGram, augment_with_clusters
+# augment_with_clusters is not called here; perfbench's tracer wraps it
+# under this name
+from .transform import (  # noqa: F401
+    AugmentedGram,
+    _cluster_slots,
+    _with_diagonal,
+    augment_with_clusters,
+)
 
 VARIANCE_FLOOR = 1e-8
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+# Why a fit is degenerate: an E-step emptied a component, a final cluster
+# has at most 2 members (its variance floors by construction), or the
+# floor bound otherwise.
+DEGENERATE_REASONS = ("emptied", "small_cluster", "floored")
 
 
 @dataclass(frozen=True)
@@ -83,10 +96,11 @@ class FitResult:
     """Outcome and score of one classification-EM fit at a fixed K.
 
     ``loglik`` is the full mixture quasi log-likelihood evaluated on the
-    cluster-aware matrix rebuilt from the final assignment, and ``bic`` its
-    BIC; degenerate fits carry bic = -inf and are excluded from the K
-    sweep. ``floor_events`` counts M-steps where some variance hit the
-    floor.
+    cluster-aware matrix of the final assignment, and ``bic`` its BIC.
+    Degenerate fits are not scored: they carry loglik = bic = -inf, are
+    excluded from the K sweep, and ``degenerate_reason`` (one of
+    DEGENERATE_REASONS, None exactly when the fit is not degenerate) says
+    why. ``floor_events`` counts M-steps where some variance hit the floor.
     """
 
     labels: ClusterAssignment
@@ -96,11 +110,16 @@ class FitResult:
     iterations: int
     converged: bool
     degenerate: bool
+    degenerate_reason: Optional[str]
     floor_events: int = 0
 
     def __post_init__(self):
         if self.degenerate and self.bic != float("-inf"):
             raise ValueError("degenerate fits must carry bic = -inf")
+        if self.degenerate_reason not in (None, *DEGENERATE_REASONS):
+            raise ValueError(f"unknown degenerate_reason {self.degenerate_reason!r}")
+        if self.degenerate != (self.degenerate_reason is not None):
+            raise ValueError("degenerate_reason is set exactly when the fit is degenerate")
 
     @property
     def k(self) -> int:
@@ -159,12 +178,17 @@ class ClusterMemo:
     the cluster-aware matrices, whose row i depends only on the members of
     i's own cluster: so a cluster's statistics there depend only on its
     members, and a component's entry for row i only on its members and on
-    the cluster that owns row i. A memo is valid for one Gram matrix and
-    its sweep matrix.
+    the cluster that owns row i. ``slots`` maps the same keys to the
+    cluster's slot values (i,i), and ``matrix`` is the one writable
+    cluster-aware matrix of the sweep: G with its diagonal column, whose
+    slots each fit rewrites for its own partition. A memo is valid for one
+    Gram matrix and its sweep matrix.
     """
 
     sweep: dict = field(default_factory=dict)
     aware: dict = field(default_factory=dict)
+    slots: dict = field(default_factory=dict)
+    matrix: Optional[np.ndarray] = None
 
 
 def _members(labels: np.ndarray, k: int) -> tuple[list, list]:
@@ -256,16 +280,41 @@ def _log_joint(
     return joint.T
 
 
+def _cluster_aware(g: GramMatrix, rows: list, keys: list, memo: ClusterMemo) -> np.ndarray:
+    """The cluster-aware matrix of the partition with clusters ``rows``:
+    memo.matrix with every slot (i,i) written, each cluster's slot values
+    taken from memo.slots when its key is there."""
+    if memo.matrix is None:
+        memo.matrix = _with_diagonal(g.values)
+    for idx, key in zip(rows, keys):
+        slots = memo.slots.get(key)
+        if slots is None:
+            slots = memo.slots[key] = _cluster_slots(g.values, idx)
+        memo.matrix[idx, idx] = slots
+    return memo.matrix
+
+
 def _hard_labels(joint: np.ndarray) -> np.ndarray:
     """Each row's argmax component, 1-based; ties go to the smallest."""
     return np.argmax(joint, axis=1).astype(np.int64) + 1
 
 
 def _total_loglik(joint: np.ndarray) -> float:
-    """Sum over rows of the log-sum-exp over components."""
-    from scipy.special import logsumexp
+    """Sum over rows of the log-sum-exp over components, for a finite
+    ``joint``.
 
-    return float(logsumexp(joint, axis=1).sum())
+    The form is scipy.special.logsumexp's, so the bits are too: the terms
+    equal to the row maximum are taken out of the sum, the others shifted
+    by the maximum, and the row's value is log1p(sum / ties) + log(ties)
+    plus the maximum, where ties counts the terms at the maximum.
+    """
+    top = joint.max(axis=1, keepdims=True)
+    at_top = joint == top
+    ties = at_top.sum(axis=1, keepdims=True, dtype=np.float64)
+    terms = np.exp(joint - top)
+    terms[at_top] = 0.0
+    rest = terms.sum(axis=1, keepdims=True) / ties
+    return float((np.log1p(rest) + np.log(ties) + top).ravel().sum())
 
 
 def cem_fit(
@@ -279,12 +328,13 @@ def cem_fit(
     by BIC.
 
     The loop runs on the fixed matrix ``m`` until the assignment stops
-    changing or ``max_iter`` sweeps elapse. The final assignment then
-    rebuilds the cluster-aware matrix from ``g``, a last M-step on it
-    yields the reported parameters, ``loglik`` is the mixture quasi
-    log-likelihood of its rows and ``bic`` scores it with num_params(k, N)
-    free parameters. An E-step that empties a component aborts the fit as
-    degenerate, as does a collapsed final component.
+    changing or ``max_iter`` sweeps elapse. A last M-step on the
+    cluster-aware matrix of the final assignment yields the reported
+    parameters. An E-step that empties a component aborts the fit as
+    degenerate, as does a final component whose variance hit the floor;
+    a degenerate fit is not scored. Otherwise ``loglik`` is the mixture
+    quasi log-likelihood of the cluster-aware rows and ``bic`` scores it
+    with num_params(k, N) free parameters.
 
     ``memo`` shares per-cluster work with the other fits on the same ``g``
     and ``m``; the result is the same with or without it.
@@ -316,17 +366,22 @@ def cem_fit(
             break
         labels = new
 
+    loglik = float("-inf")
     if emptied:
-        loglik = float("-inf")
-        degenerate = True
+        reason = "emptied"
     else:
-        aug = augment_with_clusters(g, ClusterAssignment(labels, k)).values
         rows, keys = _members(labels, k)
+        aug = _cluster_aware(g, rows, keys, memo)
         comps = _mstep(aug, rows, keys, memo.aware)
-        loglik = _total_loglik(_log_joint(aug, comps, rows, keys))
-        degenerate = any(c.floored for c in comps)
+        if not any(c.floored for c in comps):
+            reason = None
+            loglik = _total_loglik(_log_joint(aug, comps, rows, keys))
+        elif min(idx.size for idx in rows) <= 2:
+            reason = "small_cluster"
+        else:
+            reason = "floored"
     n = m.n_objects
-    score = float("-inf") if degenerate else bic(loglik, num_params(k, n), n)
+    score = float("-inf") if reason else bic(loglik, num_params(k, n), n)
     # canonical component order: clusters by their first member
     order = np.argsort([idx[0] for idx in rows])
     return FitResult(
@@ -336,6 +391,7 @@ def cem_fit(
         bic=score,
         iterations=iterations,
         converged=converged,
-        degenerate=degenerate,
+        degenerate=reason is not None,
+        degenerate_reason=reason,
         floor_events=floor_events,
     )

@@ -47,6 +47,31 @@ class AugmentedGram:
         return self.values.shape[0]
 
 
+def _with_diagonal(g: np.ndarray) -> np.ndarray:
+    """A new N x (N+1) array: ``g`` with its diagonal appended as the last
+    column. Slots (i,i) still hold g's diagonal until they are written."""
+    return np.concatenate([g, np.diag(g)[:, None]], axis=1)
+
+
+def _cluster_slots(g: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The slot values (i,i), in order, for the members ``idx`` (sorted
+    row indices) of one cluster: the mean of g[j,i] over the other
+    members j, or over every j != i for a singleton.
+
+    A slot depends only on g and on its own cluster, so one cluster's
+    values hold under every partition that contains the cluster.
+    """
+    s = idx.size
+    if s == 1:
+        i = idx[0]
+        return np.delete(g[:, i], i).sum(keepdims=True) / (g.shape[0] - 1)
+    # Row r of this contiguous (s, s-1) array holds column r of the
+    # cluster block minus its diagonal entry, in row order, so each row
+    # sum is bit-identical to the 1-D masked column sum.
+    off = g[idx][:, idx].T.reshape(-1)[1:].reshape(s - 1, s + 1)[:, :-1]
+    return off.reshape(s, s - 1).sum(axis=1) / (s - 1)
+
+
 def cluster_augment_values(g: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Array kernel of the transform.
 
@@ -58,24 +83,11 @@ def cluster_augment_values(g: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """
     g = np.asarray(g, dtype=np.float64)
     lab = np.asarray(labels, dtype=np.int64)
-    n = g.shape[0]
-    m = np.concatenate([g, np.diag(g)[:, None]], axis=1)
-    _, inverse, counts = np.unique(lab, return_inverse=True, return_counts=True)
-    for c in np.flatnonzero(counts > 1):
-        idx = np.flatnonzero(inverse == c)
-        s = idx.size
-        # Row r of this contiguous (s, s-1) array holds column r of the
-        # cluster block minus its diagonal entry, in row order, so each row
-        # sum is bit-identical to the 1-D masked column sum.
-        off = g[idx][:, idx].T.reshape(-1)[1:].reshape(s - 1, s + 1)[:, :-1]
-        m[idx, idx] = off.reshape(s, s - 1).sum(axis=1) / (s - 1)
-    # Row r of the (|S|, n-1) array is column single[r] without its
-    # diagonal entry, in row order: the same sum as the 1-D column.
-    single = np.flatnonzero(counts[inverse] == 1)
-    cols = g.T[single]
-    keep = np.ones(cols.shape, dtype=bool)
-    keep[np.arange(single.size), single] = False
-    m[single, single] = cols[keep].reshape(single.size, n - 1).sum(axis=1) / (n - 1)
+    m = _with_diagonal(g)
+    _, counts = np.unique(lab, return_counts=True)
+    order = np.argsort(lab, kind="stable")
+    for idx in np.split(order, np.cumsum(counts)[:-1]):
+        m[idx, idx] = _cluster_slots(g, idx)
     return m
 
 

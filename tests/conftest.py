@@ -74,7 +74,7 @@ def assert_same_fit(a, b):
     assert a.labels.k == b.labels.k
     for name in ("loglik", "bic"):
         assert np.float64(getattr(a, name)).tobytes() == np.float64(getattr(b, name)).tobytes()
-    for name in ("iterations", "converged", "degenerate", "floor_events"):
+    for name in ("iterations", "converged", "degenerate", "degenerate_reason", "floor_events"):
         assert getattr(a, name) == getattr(b, name), name
 
 

@@ -101,6 +101,18 @@ class TestCluster:
         assert written == [f.floor_events for f in fits]
         assert max(written) > 0
 
+    def test_degenerate_fits_unscored(self, fixture_csv, tmp_path):
+        from gramclust import cluster_features, read_feature_csv
+
+        out = tmp_path / "out"
+        assert main(["cluster", fixture_csv, "--output-dir", str(out)]) == 0
+        trace = json.loads((out / "result.json").read_text())["bic_trace"]
+        fits = cluster_features(read_feature_csv(fixture_csv).matrix).fits
+        assert [e["degenerate_reason"] for e in trace] == [f.degenerate_reason for f in fits]
+        for e in trace:
+            assert (e["loglik"] is None) == e["degenerate"] == (e["degenerate_reason"] is not None)
+        assert any(e["degenerate"] for e in trace) and not all(e["degenerate"] for e in trace)
+
     def test_kmax_one(self, fixture_csv, tmp_path):
         out = tmp_path / "out"
         assert main(["cluster", fixture_csv, "--output-dir", str(out), "--kmax", "1"]) == 0

@@ -1,6 +1,7 @@
 """Tests for the classification-EM loop and Gaussian density machinery."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -213,7 +214,7 @@ def prepared_instance(spec, n):
     fm, truth = gen_mixture(spec, n)
     x = standardize_columns(fm)
     g = gram(x)
-    return g, augment(g), truth.canonicalized()
+    return g, augment(g), ClusterAssignment.from_raw(truth.labels)
 
 
 class TestCemFit:
@@ -232,7 +233,7 @@ class TestCemFit:
         x = standardize_columns(fm)
         g = gram(x)
         m = augment(g)
-        fit = cem_fit(g, m, truth.canonicalized())
+        fit = cem_fit(g, m, ClusterAssignment.from_raw(truth.labels))
         assert fit.converged
         assert fit.iterations == 1
         assert ami(truth, fit.labels) == 1.0
@@ -244,7 +245,7 @@ class TestCemFit:
         x = standardize_columns(fm)
         g = gram(x)
         m = augment(g)
-        init_labels = truth.canonicalized().labels.copy()
+        init_labels = ClusterAssignment.from_raw(truth.labels).labels.copy()
         init_labels[0] = 3 - init_labels[0]
         fit = cem_fit(g, m, ClusterAssignment(init_labels, 2))
         assert fit.converged
@@ -304,7 +305,7 @@ class TestCemFit:
         _, fm, truth = separated_instance
         g = gram(standardize_columns(fm))
         m = augment(g)
-        init_labels = truth.canonicalized().labels.copy()
+        init_labels = ClusterAssignment.from_raw(truth.labels).labels.copy()
         init_labels[0] = 3 - init_labels[0]
         inits = [ClusterAssignment(init_labels, 2), cut_tree(ward_linkage(m.values), 3)]
         memo = ClusterMemo()
@@ -332,10 +333,11 @@ class TestCemFit:
         assert not fit.converged
         assert fit.bic == float("-inf")
         assert fit.loglik == float("-inf")
+        assert fit.degenerate_reason == "emptied"
 
     def test_collapsed_fit_degenerate(self):
         # duplicated objects: perfect clusters but zero within-cluster
-        # scatter, so the quasi-likelihood is meaningless
+        # scatter, so the quasi-likelihood is meaningless and not computed
         rng = np.random.default_rng(5)
         a, b = rng.normal(size=300), rng.normal(size=300)
         x = standardize_columns(FeatureMatrix(np.vstack([a, a, b, b])))
@@ -345,7 +347,60 @@ class TestCemFit:
         fit = cem_fit(g, m, init)
         assert fit.degenerate
         assert fit.bic == float("-inf")
-        assert np.isfinite(fit.loglik)  # reported for transparency
+        assert fit.loglik == float("-inf")
+        assert fit.degenerate_reason == "small_cluster"
+
+    def test_floored_fit_degenerate(self):
+        # three copies of each of two objects: clusters of 3, not small,
+        # whose rows coincide on the cluster-aware matrix
+        rng = np.random.default_rng(6)
+        a, b = rng.normal(size=300), rng.normal(size=300)
+        g = gram(standardize_columns(FeatureMatrix(np.vstack([a, a, a, b, b, b]))))
+        fit = cem_fit(g, augment(g), ClusterAssignment(np.array([1, 1, 1, 2, 2, 2]), 2))
+        assert fit.degenerate and fit.loglik == float("-inf")
+        assert fit.degenerate_reason == "floored"
+
+    def test_degenerate_fit_not_scored(self, monkeypatch, separated_instance):
+        # degeneracy is decided by the cluster-aware M-step, so a
+        # degenerate fit computes no log-joint on the cluster-aware matrix
+        # and no log-sum-exp; a fit that is not degenerate computes one each
+        import gramclust.mixture as mixture
+
+        calls = []
+        log_joint, total_loglik = mixture._log_joint, mixture._total_loglik
+
+        def counting_log_joint(x, *args):
+            calls.append("sweep" if x is m.values else "aware")
+            return log_joint(x, *args)
+
+        def counting_total_loglik(joint):
+            calls.append("total")
+            return total_loglik(joint)
+
+        monkeypatch.setattr(mixture, "_log_joint", counting_log_joint)
+        monkeypatch.setattr(mixture, "_total_loglik", counting_total_loglik)
+        rng = np.random.default_rng(5)
+        a, b = rng.normal(size=300), rng.normal(size=300)
+        g = gram(standardize_columns(FeatureMatrix(np.vstack([a, a, b, b]))))
+        m = augment(g)
+        fit = cem_fit(g, m, ClusterAssignment(np.array([1, 1, 2, 2]), 2))
+        assert fit.degenerate and calls == ["sweep"]
+        calls.clear()
+        g = gram(standardize_columns(separated_instance[1]))
+        m = augment(g)
+        fit = cem_fit(g, m, cut_tree(ward_linkage(m.values), 2))
+        assert not fit.degenerate
+        assert calls.count("aware") == 1 and calls.count("total") == 1
+
+    def test_fit_result_reason_checked(self):
+        g, m, _ = prepared_instance(two_cluster_spec(1.0, 100, seed=1), 10)
+        fit = cem_fit(g, m, ClusterAssignment(np.ones(10, dtype=np.int64), 1))
+        assert fit.degenerate_reason is None
+        for changes in ({"degenerate_reason": "floored"},
+                        {"degenerate": True, "bic": float("-inf")},
+                        {"degenerate": True, "bic": float("-inf"), "degenerate_reason": "odd"}):
+            with pytest.raises(ValueError, match="degenerate_reason"):
+                replace(fit, **changes)
 
     def test_monotone_classification_loglik(self):
         spec = two_cluster_spec(0.6, 150, seed=21)
@@ -521,7 +576,7 @@ class TestClusterMemo:
         fm, truth = gen_mixture(spec, 60)
         g = gram(standardize_columns(fm))
         m = augment(g)
-        base = truth.canonicalized().labels
+        base = ClusterAssignment.from_raw(truth.labels).labels
         memo = ClusterMemo()
         fits = []
         for trial in range(24):

@@ -125,7 +125,9 @@ class TestClusterOutputInvariants:
 
     def _rescored(self, fits, bics):
         return tuple(
-            replace(f, bic=b, degenerate=not np.isfinite(b)) for f, b in zip(fits, bics)
+            replace(f, bic=b, degenerate=not np.isfinite(b),
+                    degenerate_reason=None if np.isfinite(b) else "floored")
+            for f, b in zip(fits, bics)
         )
 
     def test_tie_goes_to_smaller_k(self, fits):
