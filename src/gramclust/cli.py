@@ -17,7 +17,7 @@ import sys
 from typing import Callable, NamedTuple, Optional
 
 from . import __version__
-from .data import _is_number, read_feature_csv
+from .data import CSV_ENCODING, _csv_rows, _is_number, read_feature_csv
 from .errors import ConfigError, DataError, GramClustError, ObjectIdMismatchError
 from .metrics import NORM_MAX, NORM_MEAN, ami
 from .select import (
@@ -180,10 +180,9 @@ def _read_assignment_csv(path: str, delimiter: str = ",") -> dict:
     """object id -> label. The first row is a header when it reads
     object_id,label (as ``cluster`` writes it), or when its id is the only
     id in the file that is not a number, or its label the only such label."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding=CSV_ENCODING) as fh:
         rows = [(lineno, [field.strip() for field in row])
-                for lineno, row in enumerate(csv.reader(fh, delimiter=delimiter), start=1)
-                if row]
+                for lineno, row in _csv_rows(fh, delimiter)]
     if not rows:
         raise DataError("empty assignment file")
     # a missing or blank field counts as a number here; its row is

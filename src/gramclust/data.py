@@ -7,7 +7,7 @@ G = X X^T / P computed from a column-standardized N x P feature matrix X.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -79,18 +79,10 @@ class FeatureMatrix:
     values : ndarray, shape (N, P)
     standardized : bool
         True only if every column has mean 0 and sample sd 1 (ddof=1).
-    log_applied : bool
-        True when the values derive from the natural log of the raw input,
-        which preprocess_dataset takes when every raw value is positive.
-    n_dropped_columns : int
-        Constant columns removed by the transformation that produced this
-        matrix (0 for raw data).
     """
 
     values: np.ndarray
     standardized: bool = False
-    log_applied: bool = False
-    n_dropped_columns: int = 0
 
     def __post_init__(self):
         a = _as_matrix(self.values)
@@ -143,7 +135,7 @@ class GramMatrix:
         return self.values.shape[0]
 
 
-def _standardized(a: np.ndarray, log: bool, log_applied: bool) -> FeatureMatrix:
+def _standardized(a: np.ndarray, log: bool) -> FeatureMatrix:
     """Standardize the columns of ``log(a)``, or of ``a``, in one owned
     buffer. The sds come from the centred values; columns whose sd falls
     below CONSTANT_SD_TOL are dropped, and only a drop copies. The buffer
@@ -159,21 +151,16 @@ def _standardized(a: np.ndarray, log: bool, log_applied: bool) -> FeatureMatrix:
         out, sd = out.compress(keep, axis=1), sd[keep]
     out /= sd
     out.setflags(write=False)
-    return FeatureMatrix(
-        out,
-        standardized=True,
-        log_applied=log_applied,
-        n_dropped_columns=dropped,
-    )
+    return FeatureMatrix(out, standardized=True)
 
 
 def standardize_columns(x: FeatureMatrix) -> FeatureMatrix:
     """Scale every column to mean 0 and sample sd 1 (denominator N-1).
 
-    Constant columns (sample sd below 1e-12) are dropped; the count shows
-    up in ``n_dropped_columns`` of the result. Idempotent within 1e-10.
+    Constant columns (sample sd below 1e-12) are dropped. Idempotent
+    within 1e-10.
     """
-    return _standardized(x.values, log=False, log_applied=x.log_applied)
+    return _standardized(x.values, log=False)
 
 
 def preprocess_dataset(x: FeatureMatrix) -> FeatureMatrix:
@@ -181,13 +168,11 @@ def preprocess_dataset(x: FeatureMatrix) -> FeatureMatrix:
 
     If every entry is strictly positive, take the natural log elementwise;
     then standardize the columns as standardize_columns does, dropping
-    constant columns. The result is standardized, and ``log_applied``
-    records whether the log step fired.
+    constant columns. The result is standardized.
     """
     if x.standardized:
         raise ValueError("preprocess_dataset expects raw (unstandardized) input")
-    log = bool(x.values.min() > 0.0)
-    return _standardized(x.values, log=log, log_applied=log)
+    return _standardized(x.values, log=bool(x.values.min() > 0.0))
 
 
 def gram_values(values: np.ndarray) -> np.ndarray:
@@ -215,6 +200,31 @@ def gram(x: FeatureMatrix) -> GramMatrix:
 # optional "label" column carrying ground truth that is never clustered on)
 # ---------------------------------------------------------------------------
 
+# A leading UTF-8 byte order mark, as spreadsheet programs write, is dropped.
+CSV_ENCODING = "utf-8-sig"
+
+
+def _csv_rows(fh, delimiter: str):
+    """Yield (line, fields) for each non-blank row of a CSV file opened
+    with newline="" and CSV_ENCODING, ``line`` being the 1-based line the
+    row starts on, blank lines included.
+
+    A ``csv`` error becomes a DataError at the row's line: an unbalanced
+    quote makes the rest of the file one field, and past the field size
+    limit the reader gives up.
+    """
+    reader = csv.reader(fh, delimiter=delimiter)
+    while True:
+        line = reader.line_num + 1
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise DataError(f"malformed CSV ({exc})", line=line) from exc
+        if row:
+            yield line, row
+
 
 @dataclass(frozen=True)
 class FeatureCsv:
@@ -222,7 +232,6 @@ class FeatureCsv:
 
     matrix: FeatureMatrix
     truth_labels: Optional[list] = None
-    feature_names: Optional[list] = field(default=None)
 
 
 def _is_number(text: str) -> bool:
@@ -250,12 +259,8 @@ def read_feature_csv(path, delimiter: str = ",") -> FeatureCsv:
     are parsed in one pass by numpy's C reader; a ragged or non-numeric
     row raises DataError with its 1-based line number.
     """
-    with open(path, newline="") as fh:
-        rows = (
-            (lineno, row)
-            for lineno, row in enumerate(csv.reader(fh, delimiter=delimiter), start=1)
-            if row
-        )
+    with open(path, newline="", encoding=CSV_ENCODING) as fh:
+        rows = _csv_rows(fh, delimiter)
         first_line, first_row = next(rows, (None, None))
         if first_row is None:
             raise DataError("empty file")
@@ -282,7 +287,7 @@ def read_feature_csv(path, delimiter: str = ",") -> FeatureCsv:
         # No usecols: with it, loadtxt accepts rows that carry extra fields.
         values = np.loadtxt(
             path, delimiter=delimiter, skiprows=skip, comments=None,
-            quotechar='"', ndmin=2, converters=converters,
+            quotechar='"', ndmin=2, converters=converters, encoding=CSV_ENCODING,
         )
     except ValueError as exc:
         raise _first_bad_row(path, delimiter, skip, width, label_idx, exc) from exc
@@ -291,15 +296,7 @@ def read_feature_csv(path, delimiter: str = ",") -> FeatureCsv:
     if label_idx is not None:
         values = np.delete(values, label_idx, axis=1)
     values.setflags(write=False)
-
-    feature_names = None
-    if names is not None:
-        feature_names = [n for i, n in enumerate(names) if i != label_idx]
-    return FeatureCsv(
-        matrix=FeatureMatrix(values),
-        truth_labels=labels,
-        feature_names=feature_names,
-    )
+    return FeatureCsv(matrix=FeatureMatrix(values), truth_labels=labels)
 
 
 def _first_bad_row(path, delimiter, skip, width, label_idx, cause) -> DataError:
@@ -307,10 +304,9 @@ def _first_bad_row(path, delimiter, skip, width, label_idx, cause) -> DataError:
     holds a value the C reader rejects. Rows are split by ``csv`` and
     numbered as the header scan numbers them, blank lines included
     (loadtxt's own row numbers skip blank lines)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        for lineno, row in enumerate(reader, start=1):
-            if lineno <= skip or not row:
+    with open(path, newline="", encoding=CSV_ENCODING) as fh:
+        for lineno, row in _csv_rows(fh, delimiter):
+            if lineno <= skip:
                 continue
             if len(row) != width:
                 return DataError(f"expected {width} fields, got {len(row)}", line=lineno)

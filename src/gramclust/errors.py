@@ -42,7 +42,8 @@ class ObjectIdMismatchError(GramClustError):
 
 
 class AllFitsDegenerateError(GramClustError):
-    """Every candidate K produced a degenerate fit (should be unreachable)."""
+    """Every candidate K produced a degenerate fit, as on 2 objects, where
+    no cluster has more than 2 members."""
 
 
 class DataError(GramClustError):

@@ -3,10 +3,11 @@ an augmented Gram matrix.
 
 The loop alternates a hard M-step (component weights, means, covariances
 from the current assignment, all with denominator n_k) and a hard E-step
-(argmax of weighted log-density) on a fixed input matrix. A last M-step
-on the cluster-aware matrix of the final assignment then decides whether
-the fit is degenerate; only a fit that is not gets scored (the quasi
-log-likelihood and its BIC).
+(argmax of weighted log-density) on a fixed input matrix. A final
+assignment with a cluster of at most 2 members is degenerate from its
+sizes alone; otherwise a last M-step on its cluster-aware matrix decides
+whether the fit is degenerate, and only a fit that is not gets
+parameters and a score (the quasi log-likelihood and its BIC).
 
 Every per-cluster quantity depends only on the cluster's members: its
 statistics are reductions over its own rows, in row order, and a
@@ -50,19 +51,12 @@ class MixtureParams:
     """Weights, means and diagonal covariances of a K-component Gaussian
     mixture.
 
-    ``covariances`` is (K, D) of per-coordinate variances. ``floored``
-    flags components whose raw scatter hit the variance floor in some
-    coordinate: their density is floor-determined rather than
-    data-determined, so a fit whose final parameters carry the flag is
-    scored as degenerate. Pair clusters always trip it on a cluster-aware
-    matrix because the rebuilt diagonal slot of each member duplicates the
-    other member's entry exactly.
+    ``covariances`` is (K, D) of per-coordinate variances.
     """
 
     weights: np.ndarray
     means: np.ndarray
     covariances: np.ndarray
-    floored: np.ndarray
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64).copy()
@@ -77,12 +71,7 @@ class MixtureParams:
             raise ValueError("diagonal covariances must be (K, D)")
         if np.min(cov) < VARIANCE_FLOOR:
             raise ValueError("diagonal variance below the floor")
-        fl = np.asarray(self.floored, dtype=bool).copy()
-        if fl.shape != (k,):
-            raise ValueError("floored must be a K-vector")
-        for name, arr in (
-            ("weights", w), ("means", mu), ("covariances", cov), ("floored", fl)
-        ):
+        for name, arr in (("weights", w), ("means", mu), ("covariances", cov)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -96,30 +85,34 @@ class FitResult:
     """Outcome and score of one classification-EM fit at a fixed K.
 
     ``loglik`` is the full mixture quasi log-likelihood evaluated on the
-    cluster-aware matrix of the final assignment, and ``bic`` its BIC.
-    Degenerate fits are not scored: they carry loglik = bic = -inf, are
-    excluded from the K sweep, and ``degenerate_reason`` (one of
-    DEGENERATE_REASONS, None exactly when the fit is not degenerate) says
-    why. ``floor_events`` counts M-steps where some variance hit the floor.
+    cluster-aware matrix of the final assignment, ``bic`` its BIC and
+    ``params`` the mixture it was scored with. A fit is degenerate when
+    ``degenerate_reason`` (one of DEGENERATE_REASONS) is set. Degenerate
+    fits are not scored: they carry no params and loglik = bic = -inf,
+    and are excluded from the K sweep. ``floor_events`` counts M-steps
+    where some variance hit the floor.
     """
 
     labels: ClusterAssignment
-    params: MixtureParams
+    params: Optional[MixtureParams]
     loglik: float
     bic: float
     iterations: int
     converged: bool
-    degenerate: bool
     degenerate_reason: Optional[str]
     floor_events: int = 0
 
     def __post_init__(self):
-        if self.degenerate and self.bic != float("-inf"):
-            raise ValueError("degenerate fits must carry bic = -inf")
         if self.degenerate_reason not in (None, *DEGENERATE_REASONS):
             raise ValueError(f"unknown degenerate_reason {self.degenerate_reason!r}")
-        if self.degenerate != (self.degenerate_reason is not None):
-            raise ValueError("degenerate_reason is set exactly when the fit is degenerate")
+        if self.degenerate and self.bic != float("-inf"):
+            raise ValueError("degenerate fits must carry bic = -inf")
+        if self.degenerate != (self.params is None):
+            raise ValueError("params is None exactly when the fit is degenerate")
+
+    @property
+    def degenerate(self) -> bool:
+        return self.degenerate_reason is not None
 
     @property
     def k(self) -> int:
@@ -228,7 +221,7 @@ def _params(comps: list, rows: list, n: int) -> MixtureParams:
     """The MixtureParams of components with the given members, in order."""
     return MixtureParams(
         np.array([idx.size for idx in rows]) / n, [c.mean for c in comps],
-        [c.var for c in comps], floored=[c.floored for c in comps],
+        [c.var for c in comps],
     )
 
 
@@ -328,13 +321,15 @@ def cem_fit(
     by BIC.
 
     The loop runs on the fixed matrix ``m`` until the assignment stops
-    changing or ``max_iter`` sweeps elapse. A last M-step on the
-    cluster-aware matrix of the final assignment yields the reported
-    parameters. An E-step that empties a component aborts the fit as
-    degenerate, as does a final component whose variance hit the floor;
-    a degenerate fit is not scored. Otherwise ``loglik`` is the mixture
-    quasi log-likelihood of the cluster-aware rows and ``bic`` scores it
-    with num_params(k, N) free parameters.
+    changing or ``max_iter`` sweeps elapse. The fit is degenerate when an
+    E-step empties a component, when a final cluster has at most 2
+    members (its variance on the cluster-aware matrix floors by
+    construction), or when a variance floors in a last M-step on the
+    cluster-aware matrix of the final assignment. A degenerate fit
+    carries no parameters and is not scored. Otherwise that M-step yields
+    the reported parameters, ``loglik`` is the mixture quasi
+    log-likelihood of the cluster-aware rows and ``bic`` scores it with
+    num_params(k, N) free parameters.
 
     ``memo`` shares per-cluster work with the other fits on the same ``g``
     and ``m``; the result is the same with or without it.
@@ -366,32 +361,34 @@ def cem_fit(
             break
         labels = new
 
-    loglik = float("-inf")
+    n = m.n_objects
+    loglik = score = float("-inf")
+    params = None
     if emptied:
         reason = "emptied"
     else:
         rows, keys = _members(labels, k)
-        aug = _cluster_aware(g, rows, keys, memo)
-        comps = _mstep(aug, rows, keys, memo.aware)
-        if not any(c.floored for c in comps):
-            reason = None
-            loglik = _total_loglik(_log_joint(aug, comps, rows, keys))
-        elif min(idx.size for idx in rows) <= 2:
+        if min(idx.size for idx in rows) <= 2:
+            # a singleton has zero variance everywhere; in a pair {i, j},
+            # slot (i, i) equals g[j, i], row j's entry in column i
             reason = "small_cluster"
         else:
-            reason = "floored"
-    n = m.n_objects
-    score = float("-inf") if reason else bic(loglik, num_params(k, n), n)
-    # canonical component order: clusters by their first member
-    order = np.argsort([idx[0] for idx in rows])
+            aug = _cluster_aware(g, rows, keys, memo)
+            comps = _mstep(aug, rows, keys, memo.aware)
+            reason = "floored" if any(c.floored for c in comps) else None
+    if reason is None:
+        loglik = _total_loglik(_log_joint(aug, comps, rows, keys))
+        score = bic(loglik, num_params(k, n), n)
+        # canonical component order: clusters by their first member
+        order = np.argsort([idx[0] for idx in rows])
+        params = _params([comps[j] for j in order], [rows[j] for j in order], n)
     return FitResult(
         labels=ClusterAssignment.from_raw(labels),
-        params=_params([comps[j] for j in order], [rows[j] for j in order], n),
+        params=params,
         loglik=loglik,
         bic=score,
         iterations=iterations,
         converged=converged,
-        degenerate=reason is not None,
         degenerate_reason=reason,
         floor_events=floor_events,
     )

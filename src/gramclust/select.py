@@ -40,8 +40,9 @@ class ClusterOutput:
         if [f.k for f in self.fits] != list(range(1, len(self.fits) + 1)):
             raise ValueError("fits must cover K = 1..Kmax exactly once")
         if not any(np.isfinite(f.bic) for f in self.fits):
-            # K=1 cannot produce an empty cluster and only collapses when all
-            # rows coincide, which standardization already rules out.
+            # with N = 2 every cluster is small, so every fit is degenerate;
+            # with more objects K=1 has one cluster of N > 2 members and
+            # cannot empty it
             raise AllFitsDegenerateError("every K produced a degenerate fit")
 
     @property

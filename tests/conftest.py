@@ -63,10 +63,12 @@ UNUSABLE_PLAN_EDITS = [
 
 
 def assert_same_fit(a, b):
-    """Every field of two FitResults is equal, bit for bit."""
-    arrays = lambda f: (
-        f.labels.labels, f.params.weights, f.params.means,
-        f.params.covariances, f.params.floored,
+    """Every field of two FitResults is equal, bit for bit; params are
+    compared when both fits have them, and are None together."""
+    assert (a.params is None) == (b.params is None)
+    arrays = lambda f: (f.labels.labels,) + (
+        () if f.params is None
+        else (f.params.weights, f.params.means, f.params.covariances)
     )
     for x, y in zip(arrays(a), arrays(b)):
         assert x.dtype == y.dtype and x.shape == y.shape

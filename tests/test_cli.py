@@ -125,6 +125,13 @@ class TestCluster:
         assert main(["cluster", str(bad), "--output-dir", str(tmp_path / "o")]) == 1
         assert "line 3" in capsys.readouterr().err
 
+    def test_two_objects_all_fits_degenerate_exit_1(self, tmp_path, capsys):
+        # every cluster of 2 objects has at most 2 members
+        path = tmp_path / "two.csv"
+        path.write_text("f1,f2\n1,2\n3,5\n")
+        assert main(["cluster", str(path), "--kmax", "2", "--output-dir", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "error: every K produced a degenerate fit\n"
+
     def test_bad_config_exit_2(self, fixture_csv, tmp_path, capsys):
         rc = main(["cluster", fixture_csv, "--output-dir", str(tmp_path / "o"),
                    "--kmax", "0"])
@@ -306,6 +313,18 @@ class TestEval:
         write_assignment_csv(tmp_path / "b.csv", range(1, 5), [1, 1, 2, 2])
         assert main(["eval", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]) == 1
         assert capsys.readouterr().err.strip() == f"error: {error}"
+
+    def test_bom_ids_match_plain_ids(self, tmp_path, capsys):
+        (tmp_path / "a.csv").write_bytes(b"\xef\xbb\xbf1,1\n2,1\n3,2\n4,2\n")
+        (tmp_path / "b.csv").write_text("1,1\n2,1\n3,2\n4,2\n")
+        assert main(["eval", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]) == 0
+        assert capsys.readouterr().out.strip() == "1.000000"
+
+    def test_unbalanced_quote_exit_1(self, tmp_path, capsys):
+        (tmp_path / "a.csv").write_text('"1,1\n' + "2,1\n" * 40000)
+        write_assignment_csv(tmp_path / "b.csv", range(1, 5), [1, 1, 2, 2])
+        assert main(["eval", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: line 1: malformed CSV")
 
     def test_object_id_mismatch_exit_1(self, tmp_path, capsys):
         a = tmp_path / "a.csv"

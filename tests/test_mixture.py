@@ -99,44 +99,41 @@ class TestDensity:
 
 
 class TestMixtureParams:
-    def params(self, floored=(False, False)):
+    def params(self):
         return MixtureParams(
             weights=np.array([0.25, 0.75]),
             means=np.array([[0.0, 1.0], [2.0, 3.0]]),
             covariances=np.ones((2, 2)),
-            floored=floored,
         )
 
-    def test_floored_required(self):
-        with pytest.raises(TypeError, match="floored"):
-            MixtureParams(np.array([1.0]), np.zeros((1, 2)), np.ones((1, 2)))
-        floored = self.params([1, 0]).floored
-        assert floored.dtype == bool
-        np.testing.assert_array_equal(floored, [True, False])
-
-    @pytest.mark.parametrize("floored", [[True], [[True, False]], [True, False, True]])
-    def test_floored_shape_checked(self, floored):
-        with pytest.raises(ValueError, match="floored"):
-            self.params(floored)
+    @pytest.mark.parametrize("name, value, match", [
+        ("weights", [1.0], "K-vector"),
+        ("weights", [0.5, 0.6], "sum to 1"),
+        ("covariances", np.ones((2, 3)), r"\(K, D\)"),
+        ("covariances", np.full((2, 2), VARIANCE_FLOOR / 2), "floor"),
+    ], ids=["weights_shape", "weights_sum", "covariances_shape", "below_floor"])
+    def test_fields_checked(self, name, value, match):
+        with pytest.raises(ValueError, match=match):
+            replace(self.params(), **{name: value})
 
     def test_fields_read_only(self):
-        params = self.params([True, False])
-        for name in ("weights", "means", "covariances", "floored"):
+        params = self.params()
+        for name in ("weights", "means", "covariances"):
             with pytest.raises(ValueError):
                 getattr(params, name)[0] = 0
 
     def test_reorder_hand_built(self):
-        # component 1 of the init is object 2 alone; cem_fit reports it
-        # second, as the canonical labels do
+        # component 1 of the init is the cluster without object 1; cem_fit
+        # reports it second, as the canonical labels do
         rng = np.random.default_rng(3)
         base = rng.normal(size=50)
-        rows = [base + 0.3 * rng.normal(size=50) for _ in range(4)]
-        rows[1] = -base
+        first = [0, 2, 3, 6, 7]
+        rows = [(base if i in first else -base) + 0.3 * rng.normal(size=50) for i in range(8)]
         g = gram(standardize_columns(FeatureMatrix(np.vstack(rows))))
-        fit = cem_fit(g, augment(g), ClusterAssignment(np.array([2, 1, 2, 2]), 2))
-        np.testing.assert_array_equal(fit.labels.labels, [1, 2, 1, 1])
-        np.testing.assert_array_equal(fit.params.weights, [0.75, 0.25])
-        np.testing.assert_array_equal(fit.params.floored, [False, True])
+        fit = cem_fit(g, augment(g), ClusterAssignment(np.array([2, 1, 2, 2, 1, 1, 2, 2]), 2))
+        assert not fit.degenerate
+        np.testing.assert_array_equal(fit.labels.labels, [1, 2, 1, 1, 2, 2, 1, 1])
+        np.testing.assert_array_equal(fit.params.weights, [0.625, 0.375])
         fresh, _ = fresh_mstep(augment_with_clusters(g, fit.labels).values, fit.labels.labels, 2)
         for name in ("means", "covariances"):
             assert getattr(fit.params, name).tobytes() == getattr(fresh, name).tobytes()
@@ -156,10 +153,10 @@ class TestMstep:
     def test_identical_rows_hit_floor(self):
         row = np.array([1.0, -2.0, 3.0])
         x = np.vstack([row, row, row + 5.0, row + 5.0])
-        params, _ = fresh_mstep(x, np.array([1, 1, 2, 2]), 2)
+        params, comps = fresh_mstep(x, np.array([1, 1, 2, 2]), 2)
         assert np.all(params.covariances == VARIANCE_FLOOR)
         np.testing.assert_array_equal(params.means[0], row)
-        assert params.floored.all()
+        assert all(c.floored for c in comps)
 
     def test_two_row_cluster(self):
         x = np.array([[0.0, 0.0], [2.0, 0.0], [9.0, 9.0]])
@@ -215,6 +212,26 @@ def prepared_instance(spec, n):
     x = standardize_columns(fm)
     g = gram(x)
     return g, augment(g), ClusterAssignment.from_raw(truth.labels)
+
+
+def degenerate_instance(reason):
+    """(g, m, init) whose fit is degenerate for ``reason``."""
+    if reason == "emptied":
+        # identical rows, 2/1 init: both components land on the same mean
+        # and floored variances, weights favor component 1, E-step empties
+        # component 2 deterministically
+        row = np.array([1.0, 2.0, 3.0, 4.0])
+        return (GramMatrix(np.zeros((3, 3))), make_m(np.vstack([row, row, row])),
+                ClusterAssignment(np.array([1, 1, 2]), 2))
+    # duplicated objects: perfect clusters but zero within-cluster scatter.
+    # Pairs are small clusters; three copies of each of two objects make
+    # clusters of 3, not small, whose rows coincide on the cluster-aware
+    # matrix
+    copies = 2 if reason == "small_cluster" else 3
+    rng = np.random.default_rng(5 if reason == "small_cluster" else 6)
+    a, b = rng.normal(size=300), rng.normal(size=300)
+    g = gram(standardize_columns(FeatureMatrix(np.vstack([a] * copies + [b] * copies))))
+    return g, augment(g), ClusterAssignment(np.repeat([1, 2], copies), 2)
 
 
 class TestCemFit:
@@ -292,8 +309,8 @@ class TestCemFit:
         assert np.array_equal(f1.params.means, f2.params.means)
 
     def test_one_mixture_params_per_fit(self, monkeypatch, separated_instance):
-        # the loop works on components; only the reported fit is a
-        # MixtureParams, and it is validated
+        # the loop works on components; only the reported fit of a fit
+        # that is not degenerate is a MixtureParams, and it is validated
         built = []
         post_init = MixtureParams.__post_init__
 
@@ -312,22 +329,15 @@ class TestCemFit:
         for init in inits + inits:
             built.clear()
             fit = cem_fit(g, m, init, memo=memo)
-            assert len(built) == 1 and built[0] is fit.params
-        assert cem_fit(g, m, inits[0]).iterations > 1
-        row = np.array([1.0, 2.0, 3.0, 4.0])
+            assert [p is fit.params for p in built] == ([] if fit.degenerate else [True])
+        fit = cem_fit(g, m, inits[0])
+        assert fit.iterations > 1 and not fit.degenerate
         built.clear()
-        fit = cem_fit(GramMatrix(np.zeros((3, 3))), make_m(np.vstack([row, row, row])),
-                      ClusterAssignment(np.array([1, 1, 2]), 2))
-        assert fit.degenerate and len(built) == 1 and built[0] is fit.params
+        fit = cem_fit(*degenerate_instance("emptied"))
+        assert fit.degenerate and built == []
 
     def test_empty_estep_degenerate(self):
-        # identical rows, 2/1 init: both components land on the same mean
-        # and floored variances, weights favor component 1, E-step empties
-        # component 2 deterministically
-        row = np.array([1.0, 2.0, 3.0, 4.0])
-        m = make_m(np.vstack([row, row, row]))
-        g = GramMatrix(np.zeros((3, 3)))
-        fit = cem_fit(g, m, ClusterAssignment(np.array([1, 1, 2]), 2))
+        fit = cem_fit(*degenerate_instance("emptied"))
         assert fit.degenerate
         assert fit.k == 2
         assert not fit.converged
@@ -336,34 +346,56 @@ class TestCemFit:
         assert fit.degenerate_reason == "emptied"
 
     def test_collapsed_fit_degenerate(self):
-        # duplicated objects: perfect clusters but zero within-cluster
-        # scatter, so the quasi-likelihood is meaningless and not computed
-        rng = np.random.default_rng(5)
-        a, b = rng.normal(size=300), rng.normal(size=300)
-        x = standardize_columns(FeatureMatrix(np.vstack([a, a, b, b])))
-        g = gram(x)
-        m = augment(g)
-        init = ClusterAssignment(np.array([1, 1, 2, 2]), 2)
-        fit = cem_fit(g, m, init)
+        # the quasi-likelihood of zero-scatter clusters is meaningless and
+        # not computed
+        fit = cem_fit(*degenerate_instance("small_cluster"))
         assert fit.degenerate
         assert fit.bic == float("-inf")
         assert fit.loglik == float("-inf")
         assert fit.degenerate_reason == "small_cluster"
 
     def test_floored_fit_degenerate(self):
-        # three copies of each of two objects: clusters of 3, not small,
-        # whose rows coincide on the cluster-aware matrix
-        rng = np.random.default_rng(6)
-        a, b = rng.normal(size=300), rng.normal(size=300)
-        g = gram(standardize_columns(FeatureMatrix(np.vstack([a, a, a, b, b, b]))))
-        fit = cem_fit(g, augment(g), ClusterAssignment(np.array([1, 1, 1, 2, 2, 2]), 2))
+        fit = cem_fit(*degenerate_instance("floored"))
         assert fit.degenerate and fit.loglik == float("-inf")
         assert fit.degenerate_reason == "floored"
 
+    @pytest.mark.parametrize("reason", ["emptied", "small_cluster", "floored"])
+    def test_degenerate_fit_has_no_params(self, reason):
+        fit = cem_fit(*degenerate_instance(reason))
+        assert fit.degenerate_reason == reason
+        assert fit.params is None
+
+    def test_small_cluster_decided_from_sizes(self, monkeypatch):
+        # a final cluster of at most 2 members makes the fit degenerate
+        # before the cluster-aware matrix is built or fitted
+        import gramclust.mixture as mixture
+
+        calls = []
+        cluster_aware, mstep = mixture._cluster_aware, mixture._mstep
+
+        def counting_cluster_aware(*args):
+            calls.append("cluster_aware")
+            return cluster_aware(*args)
+
+        def counting_mstep(x, *args):
+            calls.append("sweep" if x is m.values else "aware")
+            return mstep(x, *args)
+
+        monkeypatch.setattr(mixture, "_cluster_aware", counting_cluster_aware)
+        monkeypatch.setattr(mixture, "_mstep", counting_mstep)
+        g, m, init = degenerate_instance("small_cluster")
+        fit = cem_fit(g, m, init)
+        assert fit.degenerate_reason == "small_cluster"
+        assert calls == ["sweep"] * fit.iterations
+        calls.clear()
+        g, m, init = degenerate_instance("floored")
+        cem_fit(g, m, init)
+        assert calls.count("cluster_aware") == calls.count("aware") == 1
+
     def test_degenerate_fit_not_scored(self, monkeypatch, separated_instance):
-        # degeneracy is decided by the cluster-aware M-step, so a
-        # degenerate fit computes no log-joint on the cluster-aware matrix
-        # and no log-sum-exp; a fit that is not degenerate computes one each
+        # a degenerate fit computes no log-joint on the cluster-aware
+        # matrix and no log-sum-exp; a fit that is not degenerate computes
+        # one each
         import gramclust.mixture as mixture
 
         calls = []
@@ -379,11 +411,8 @@ class TestCemFit:
 
         monkeypatch.setattr(mixture, "_log_joint", counting_log_joint)
         monkeypatch.setattr(mixture, "_total_loglik", counting_total_loglik)
-        rng = np.random.default_rng(5)
-        a, b = rng.normal(size=300), rng.normal(size=300)
-        g = gram(standardize_columns(FeatureMatrix(np.vstack([a, a, b, b]))))
-        m = augment(g)
-        fit = cem_fit(g, m, ClusterAssignment(np.array([1, 1, 2, 2]), 2))
+        g, m, init = degenerate_instance("small_cluster")
+        fit = cem_fit(g, m, init)
         assert fit.degenerate and calls == ["sweep"]
         calls.clear()
         g = gram(standardize_columns(separated_instance[1]))
@@ -395,12 +424,19 @@ class TestCemFit:
     def test_fit_result_reason_checked(self):
         g, m, _ = prepared_instance(two_cluster_spec(1.0, 100, seed=1), 10)
         fit = cem_fit(g, m, ClusterAssignment(np.ones(10, dtype=np.int64), 1))
-        assert fit.degenerate_reason is None
-        for changes in ({"degenerate_reason": "floored"},
-                        {"degenerate": True, "bic": float("-inf")},
-                        {"degenerate": True, "bic": float("-inf"), "degenerate_reason": "odd"}):
-            with pytest.raises(ValueError, match="degenerate_reason"):
+        assert fit.degenerate_reason is None and not fit.degenerate
+        unscored = {"params": None, "bic": float("-inf")}
+        assert replace(fit, degenerate_reason="floored", **unscored).degenerate
+        for changes, match in [
+            ({"degenerate_reason": "odd", **unscored}, "unknown degenerate_reason"),
+            ({"degenerate_reason": "floored", "params": None}, "bic = -inf"),
+            ({"degenerate_reason": "floored", "bic": float("-inf")}, "params is None"),
+            ({"params": None}, "params is None"),
+        ]:
+            with pytest.raises(ValueError, match=match):
                 replace(fit, **changes)
+        with pytest.raises(TypeError, match="degenerate"):
+            replace(fit, degenerate=True)
 
     def test_monotone_classification_loglik(self):
         spec = two_cluster_spec(0.6, 150, seed=21)
@@ -481,11 +517,11 @@ class TestKernelOracle:
             rng.shuffle(labels)
             first = np.flatnonzero(labels == 1)
             x[first] = x[first[0]]  # cluster 1 collapses onto the floor
-            params, _ = fresh_mstep(x, labels, k)
+            params, comps = fresh_mstep(x, labels, k)
             means, raw = reference_mstep(x, labels, k)
             assert np.array_equal(params.means, means)
             assert np.array_equal(params.covariances, np.maximum(raw, VARIANCE_FLOOR))
-            assert np.array_equal(params.floored, (raw < VARIANCE_FLOOR).any(axis=1))
+            assert [c.floored for c in comps] == list((raw < VARIANCE_FLOOR).any(axis=1))
             assert np.array_equal(params.weights, np.bincount(labels)[1:] / n)
 
     def test_mixture_loglik_matches_scipy_logsumexp(self):
