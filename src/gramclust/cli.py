@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from typing import Callable, NamedTuple, Optional
 
 from . import __version__
@@ -118,15 +119,23 @@ def _dump_json(path: str, payload: dict) -> None:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _print_warning(message, *_args, **_kwargs) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def cmd_cluster(input_path: str, config: argparse.Namespace) -> int:
     parsed = read_feature_csv(input_path, delimiter=config.delimiter)
     fm = parsed.matrix
-    out = cluster_features(
-        fm,
-        kmax=config.kmax,
-        max_iter=config.max_iter,
-        preprocess=config.preprocess,
-    )
+    with warnings.catch_warnings():
+        # a library warning (kmax clamped to N) reaches the user as one
+        # plain line, without a source location
+        warnings.showwarning = _print_warning
+        out = cluster_features(
+            fm,
+            kmax=config.kmax,
+            max_iter=config.max_iter,
+            preprocess=config.preprocess,
+        )
 
     os.makedirs(config.output_dir, exist_ok=True)
     assign_path = os.path.join(config.output_dir, "assignments.csv")

@@ -7,6 +7,7 @@ G = X X^T / P computed from a column-standardized N x P feature matrix X.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,9 +28,13 @@ STANDARD_MEAN_TOL = 1e-10
 STANDARD_SD_TOL = 1e-8
 SYMMETRY_TOL = 1e-12
 
-# Columns per block of the standardized check, so that its temporaries are
-# N x block rather than N x P.
-_CHECK_BLOCK = 1024
+# Doubles per column block of the standardization kernel and of the
+# standardized check, so that their temporaries are N x block, not N x P.
+_BLOCK_DOUBLES = 1 << 18
+
+
+def _block_width(n: int) -> int:
+    return max(1, _BLOCK_DOUBLES // n)
 
 
 def _frozen(values) -> np.ndarray:
@@ -92,11 +97,11 @@ class FeatureMatrix:
         if p < 1:
             raise ValueError("need at least 1 feature")
         if self.standardized:
-            means, sds = np.empty(p), np.empty(p)
-            for j in range(0, p, _CHECK_BLOCK):
-                block = a[:, j : j + _CHECK_BLOCK]
-                means[j : j + _CHECK_BLOCK] = block.mean(axis=0)
-                sds[j : j + _CHECK_BLOCK] = block.std(axis=0, ddof=1)
+            means, sds, w = np.empty(p), np.empty(p), _block_width(n)
+            for j in range(0, p, w):
+                block = a[:, j : j + w]
+                means[j : j + w] = block.mean(axis=0)
+                sds[j : j + w] = block.std(axis=0, ddof=1)
             if np.max(np.abs(means)) >= STANDARD_MEAN_TOL:
                 raise ValueError("standardized flag set but a column mean exceeds 1e-10")
             if np.max(np.abs(sds - 1.0)) >= STANDARD_SD_TOL:
@@ -135,23 +140,49 @@ class GramMatrix:
         return self.values.shape[0]
 
 
-def _standardized(a: np.ndarray, log: bool) -> FeatureMatrix:
-    """Standardize the columns of ``log(a)``, or of ``a``, in one owned
-    buffer. The sds come from the centred values; columns whose sd falls
-    below CONSTANT_SD_TOL are dropped, and only a drop copies. The buffer
-    is frozen, so the FeatureMatrix adopts it."""
-    out = np.log(a) if log else a.copy()
-    out -= out.mean(axis=0)
-    sd = np.sqrt(np.einsum("ij,ij->j", out, out) / (out.shape[0] - 1))
-    keep = sd >= CONSTANT_SD_TOL
-    dropped = keep.size - int(np.count_nonzero(keep))
-    if dropped == keep.size:
+def _standardized_blocks(a: np.ndarray, log_if_positive: bool, out=None):
+    """Yield the standardized columns of ``a``, or of ``log(a)`` when
+    ``log_if_positive`` and every value is positive, one column block at a
+    time: centred, columns whose sd falls below CONSTANT_SD_TOL dropped,
+    the rest scaled by the sds of the centred values. A column's values
+    depend on that column alone, so the blocks side by side are the
+    standardized matrix. They are written side by side into an N x P
+    ``out``, whose first kept columns then hold that matrix; without
+    ``out``, every block reuses one buffer and is valid until the next."""
+    log = log_if_positive and a.min() > 0.0
+    (n, p), kept = a.shape, 0
+    w, shared = _block_width(n), out is None
+    if shared:
+        out = np.empty((n, min(p, w)))
+    for j in range(0, p, w):
+        at = 0 if shared else kept
+        b = out[:, at : at + min(w, p - j)]
+        if log:
+            np.log(a[:, j : j + b.shape[1]], out=b)
+        else:
+            b[...] = a[:, j : j + b.shape[1]]
+        b -= b.mean(axis=0)
+        sd = np.sqrt(np.einsum("ij,ij->j", b, b) / (n - 1))
+        keep = sd >= CONSTANT_SD_TOL
+        if not keep.all():
+            sd = sd[keep]
+            b[:, : sd.size] = b[:, keep]
+            b = b[:, : sd.size]
+        b /= sd
+        kept += sd.size
+        yield b
+    if not kept:
         raise AllColumnsConstantError("every column has zero sample sd")
-    if dropped:
-        out, sd = out.compress(keep, axis=1), sd[keep]
-    out /= sd
+
+
+def _standardized(x: FeatureMatrix, log_if_positive: bool) -> FeatureMatrix:
+    """The standardized blocks written into one owned buffer, which is
+    frozen so the FeatureMatrix adopts it; only a constant-column drop
+    copies its kept columns."""
+    out = np.empty(x.values.shape)
+    kept = sum(b.shape[1] for b in _standardized_blocks(x.values, log_if_positive, out))
     out.setflags(write=False)
-    return FeatureMatrix(out, standardized=True)
+    return FeatureMatrix(out if kept == out.shape[1] else out[:, :kept], standardized=True)
 
 
 def standardize_columns(x: FeatureMatrix) -> FeatureMatrix:
@@ -160,7 +191,7 @@ def standardize_columns(x: FeatureMatrix) -> FeatureMatrix:
     Constant columns (sample sd below 1e-12) are dropped. Idempotent
     within 1e-10.
     """
-    return _standardized(x.values, log=False)
+    return _standardized(x, log_if_positive=False)
 
 
 def preprocess_dataset(x: FeatureMatrix) -> FeatureMatrix:
@@ -172,7 +203,25 @@ def preprocess_dataset(x: FeatureMatrix) -> FeatureMatrix:
     """
     if x.standardized:
         raise ValueError("preprocess_dataset expects raw (unstandardized) input")
-    return _standardized(x.values, log=bool(x.values.min() > 0.0))
+    return _standardized(x, log_if_positive=True)
+
+
+def standardized_gram(x: FeatureMatrix, log_if_positive: bool) -> GramMatrix:
+    """The Gram matrix of ``x`` standardized, without holding the
+    standardized matrix: ``gram(preprocess_dataset(x))`` under
+    ``log_if_positive``, else ``gram(standardize_columns(x))``, within
+    rounding. Each standardized column block adds ``B B^T``; the sum is
+    divided by the kept column count and symmetrized as gram_values does.
+    """
+    n = x.n_objects
+    g, kept = np.zeros((n, n)), 0
+    for b in _standardized_blocks(x.values, log_if_positive):
+        g += b @ b.T
+        kept += b.shape[1]
+    g /= kept
+    g = (g + g.T) / 2.0
+    g.setflags(write=False)
+    return GramMatrix(g)
 
 
 def gram_values(values: np.ndarray) -> np.ndarray:
@@ -211,9 +260,17 @@ def _csv_rows(fh, delimiter: str):
 
     A ``csv`` error becomes a DataError at the row's line: an unbalanced
     quote makes the rest of the file one field, and past the field size
-    limit the reader gives up.
+    limit the reader gives up. Below that limit csv returns the rest of
+    the file as the quoted field, so a row that reached the end of the
+    file before its row ended raises DataError too.
     """
-    reader = csv.reader(fh, delimiter=delimiter)
+    ended = []
+
+    def lines():
+        yield from fh
+        ended.append(True)
+
+    reader = csv.reader(lines(), delimiter=delimiter)
     while True:
         line = reader.line_num + 1
         try:
@@ -222,6 +279,8 @@ def _csv_rows(fh, delimiter: str):
             return
         except csv.Error as exc:
             raise DataError(f"malformed CSV ({exc})", line=line) from exc
+        if ended:
+            raise DataError("malformed CSV (unclosed quote)", line=line)
         if row:
             yield line, row
 
@@ -257,22 +316,34 @@ def read_feature_csv(path, delimiter: str = ",") -> FeatureCsv:
     numbers. A header column named ``label`` (case-insensitive) is
     extracted as ground truth and excluded from the features. The values
     are parsed in one pass by numpy's C reader; a ragged or non-numeric
-    row raises DataError with its 1-based line number.
+    row, a header with no row below it and a quote left open to the end
+    of the file raise DataError with a 1-based line number.
     """
     with open(path, newline="", encoding=CSV_ENCODING) as fh:
         rows = _csv_rows(fh, delimiter)
         first_line, first_row = next(rows, (None, None))
         if first_row is None:
             raise DataError("empty file")
-        first = [t.strip() for t in first_row]
-        names = None if all(map(_is_number, first)) else first
-        if names is not None and next(rows, None) is None:
-            raise DataError("no data rows", line=first_line)
-    label_idx = next(
-        (i for i, name in enumerate(names or ()) if name.lower() == "label"), None
-    )
+        header = not all(map(_is_number, first_row))
+        # loadtxt starts on the line after the header's first line; below a
+        # header whose quoted field spans lines (holds a line break), only
+        # csv can tell whether a row follows. A malformed row counts: loadtxt
+        # may still read it, as it reads a quote left open to the end.
+        names = "".join(first_row) if header else ""
+        if "\n" in names or "\r" in names:
+            try:
+                follows = next(rows, None) is not None
+            except DataError:
+                follows = True
+            if not follows:
+                raise DataError("no data rows", line=first_line)
     width = len(first_row)
-    skip = first_line if names is not None else first_line - 1
+    skip, label_idx = first_line - 1, None
+    if header:
+        skip = first_line
+        label_idx = next(
+            (i for i, name in enumerate(first_row) if name.strip().lower() == "label"), None
+        )
 
     labels = converters = None
     if label_idx is not None:
@@ -284,13 +355,18 @@ def read_feature_csv(path, delimiter: str = ",") -> FeatureCsv:
 
         converters = {label_idx: take_label}
     try:
-        # No usecols: with it, loadtxt accepts rows that carry extra fields.
-        values = np.loadtxt(
-            path, delimiter=delimiter, skiprows=skip, comments=None,
-            quotechar='"', ndmin=2, converters=converters, encoding=CSV_ENCODING,
-        )
+        with warnings.catch_warnings():
+            # a header with nothing below it is reported as no data rows
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            # No usecols: with it, loadtxt accepts rows that carry extra fields.
+            values = np.loadtxt(
+                path, delimiter=delimiter, skiprows=skip, comments=None,
+                quotechar='"', ndmin=2, converters=converters, encoding=CSV_ENCODING,
+            )
     except ValueError as exc:
         raise _first_bad_row(path, delimiter, skip, width, label_idx, exc) from exc
+    if values.shape[0] == 0:
+        raise DataError("no data rows", line=first_line)
     if values.shape[1] != width:
         raise _first_bad_row(path, delimiter, skip, width, label_idx, None)
     if label_idx is not None:

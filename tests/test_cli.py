@@ -125,6 +125,23 @@ class TestCluster:
         assert main(["cluster", str(bad), "--output-dir", str(tmp_path / "o")]) == 1
         assert "line 3" in capsys.readouterr().err
 
+    def test_kmax_clamp_is_one_plain_line(self, tmp_path, capsys):
+        path = tmp_path / "three.csv"
+        path.write_text("f1,f2\n1,2\n3,5\n4,9\n")
+        assert main(["cluster", str(path), "--output-dir", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == "warning: kmax=20 exceeds N=3; clamped to N\n"
+
+    @pytest.mark.parametrize("text, error", [
+        ("f1,f2\n", "error: line 1: no data rows\n"),
+        ('"f1,f2\n1,2\n3,4\n', "error: line 1: malformed CSV (unclosed quote)\n"),
+        ('f1,f2\n1,2\n"3,4\n5,6\n', "error: line 3: malformed CSV (unclosed quote)\n"),
+    ], ids=["header_only", "quote_in_header", "quote_in_data"])
+    def test_unreadable_csv_exit_1(self, tmp_path, capsys, text, error):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        assert main(["cluster", str(path), "--output-dir", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == error
+
     def test_two_objects_all_fits_degenerate_exit_1(self, tmp_path, capsys):
         # every cluster of 2 objects has at most 2 members
         path = tmp_path / "two.csv"
@@ -325,6 +342,14 @@ class TestEval:
         write_assignment_csv(tmp_path / "b.csv", range(1, 5), [1, 1, 2, 2])
         assert main(["eval", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]) == 1
         assert capsys.readouterr().err.startswith("error: line 1: malformed CSV")
+
+    def test_unclosed_quote_exit_1(self, tmp_path, capsys):
+        # below csv's field size limit the quoted field would take the rest
+        # of the file as one label
+        (tmp_path / "a.csv").write_text('s1,1\ns2,"1\ns3,2\ns4,2\n')
+        (tmp_path / "b.csv").write_text("s1,1\ns2,1\n")
+        assert main(["eval", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]) == 1
+        assert capsys.readouterr().err == "error: line 2: malformed CSV (unclosed quote)\n"
 
     def test_object_id_mismatch_exit_1(self, tmp_path, capsys):
         a = tmp_path / "a.csv"

@@ -2,21 +2,23 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gramclust import FeatureMatrix, GramMatrix, gram, preprocess_dataset, standardize_columns
-from gramclust.data import read_feature_csv
+from gramclust import (
+    FeatureMatrix, GramMatrix, cluster_features, gram, preprocess_dataset, standardize_columns,
+)
+from gramclust.data import _block_width, read_feature_csv
 from gramclust.errors import (
     AllColumnsConstantError,
     DataError,
     NonFiniteInputError,
     NotStandardizedError,
 )
-from gramclust.select import _prepare
 
 
 class TestFeatureMatrix:
@@ -49,7 +51,8 @@ class TestFeatureMatrix:
         # the check runs over column blocks; a bad column past the first
         # block must still be caught
         rng = np.random.default_rng(4)
-        x = standardize_columns(FeatureMatrix(rng.normal(size=(5, 2500)))).values.copy()
+        assert _block_width(200) < 1500
+        x = standardize_columns(FeatureMatrix(rng.normal(size=(200, 2500)))).values.copy()
         x[:, column] = x[:, column] * scale + shift
         with pytest.raises(ValueError, match=message):
             FeatureMatrix(x, standardized=True)
@@ -285,6 +288,54 @@ class TestReadFeatureCsv:
             read_feature_csv(path)
         assert exc.value.line == line
 
+    @pytest.mark.parametrize("text, line", [
+        ('"f1,f2\n1,2\n3,4\n', 1),
+        ('f1,f2\n1,2\n"3,4\n5,6\n', 3),
+        ('1,2\n\n"3,4\n5,6\n', 3),
+    ], ids=["header", "data_row", "after_blank_line"])
+    def test_unclosed_quote_named(self, tmp_path, text, line):
+        # below csv's field size limit the quoted field quietly takes the
+        # rest of the file; the error names the quote, not its symptom
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match="unclosed quote") as exc:
+            read_feature_csv(path)
+        assert exc.value.line == line
+
+    def test_open_quote_below_multiline_header_left_to_loadtxt(self, tmp_path):
+        # csv reads lines 1-2 as the header and the last row's quote as
+        # open to the end of the file; loadtxt reads lines 2-3 as data
+        path = tmp_path / "d.csv"
+        path.write_bytes(b'"5,1,1\r\n"4",3,3\r\n2.5,1,"5\n')
+        np.testing.assert_array_equal(
+            read_feature_csv(path).matrix.values, [[4, 3, 3], [2.5, 1, 5]]
+        )
+
+    @pytest.mark.parametrize("data, line", [
+        (b"f1,f2\n", 1),
+        (b"f1,f2", 1),
+        (b"f1,f2\n\n\r\n\n", 1),
+        (b"\xef\xbb\xbff1,label\n", 1),
+        (b"\nf1,f2\n", 2),
+        # a quoted header field that spans lines
+        (b'"f\n1",f2\n', 1),
+    ], ids=["header_only", "no_newline", "blank_lines", "bom", "blank_first", "multiline"])
+    def test_header_without_rows(self, tmp_path, data, line):
+        path = tmp_path / "d.csv"
+        path.write_bytes(data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's empty-input warning stays quiet
+            with pytest.raises(DataError, match="no data rows") as exc:
+                read_feature_csv(path)
+        assert exc.value.line == line
+
+    @pytest.mark.parametrize("data", [b"", b"\n\n", b"\xef\xbb\xbf"])
+    def test_empty_file(self, tmp_path, data):
+        path = tmp_path / "d.csv"
+        path.write_bytes(data)
+        with pytest.raises(DataError, match="empty file"):
+            read_feature_csv(path)
+
     def test_python_only_float_spellings_rejected(self, tmp_path):
         # the C reader takes no digit-group underscores or non-ASCII digits
         path = tmp_path / "d.csv"
@@ -317,8 +368,18 @@ class TestPeakMemory:
     @pytest.mark.parametrize("mode", ["paper", "standardize"])
     def test_prepare(self, mode):
         x = FeatureMatrix(np.random.default_rng(5).lognormal(size=self.shape))
-        peak = traced_peak(lambda: _prepare(x, mode))
+        prepare = preprocess_dataset if mode == "paper" else standardize_columns
+        peak = traced_peak(lambda: prepare(x))
         assert peak / x.values.nbytes < 1.3
+
+    @pytest.mark.parametrize("mode", ["paper", "standardize"])
+    def test_cluster_features(self, mode):
+        # the Gram matrix is built one column block at a time, so a call
+        # never holds a standardized copy of X
+        x = FeatureMatrix(np.random.default_rng(5).lognormal(size=self.shape))
+        cluster_features(x, kmax=4, preprocess=mode)  # the first call imports scipy
+        peak = traced_peak(lambda: cluster_features(x, kmax=4, preprocess=mode))
+        assert peak / x.values.nbytes < 0.25
 
     def test_read_feature_csv(self, tmp_path):
         rng = np.random.default_rng(5)

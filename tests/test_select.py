@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from gramclust import (
     FeatureMatrix, MixtureSpec, ami, augment, bic, cem_fit, cluster_features,
-    contingency, cut_tree, gen_mixture, gram, num_params,
+    contingency, cut_tree, gen_mixture, num_params, preprocess_dataset,
+    standardize_columns,
 )
-from gramclust.data import CONSTANT_SD_TOL
-from gramclust.errors import AllFitsDegenerateError
+from gramclust.data import CONSTANT_SD_TOL, _block_width, gram_values, standardized_gram
+from gramclust.errors import AllColumnsConstantError, AllFitsDegenerateError
 from gramclust.hierarchy import ward_linkage
-from gramclust.select import ClusterOutput, _prepare
+from gramclust.select import ClusterOutput
 from tests.conftest import assert_same_fit, two_cluster_spec
 
 
@@ -24,11 +25,12 @@ def null_spec(p: int, seed: int) -> MixtureSpec:
 
 
 def reference_prepare(values: np.ndarray, preprocess: str) -> np.ndarray:
-    """Oracle for ``_prepare``: the preprocessing as a chain of separate
-    steps. Under ``paper``: the log if every value is positive, a
-    constant-column drop, median centring and sd scaling; then, in both
-    modes, a constant-column drop and the standardization, which undoes
-    the median and sd step."""
+    """Oracle for preprocess_dataset (``paper``), standardize_columns
+    (``standardize``) and the preprocessing in ``cluster_features``: a
+    chain of separate steps. Under ``paper``: the log if every value is
+    positive, a constant-column drop, median centring and sd scaling;
+    then, in both modes, a constant-column drop and the
+    standardization, which undoes the median and sd step."""
 
     def drop_constant(a):
         return a[:, a.std(axis=0, ddof=1) >= CONSTANT_SD_TOL]
@@ -58,13 +60,30 @@ def prepare_input(kind: str, n: int, seed: int) -> np.ndarray:
     return values
 
 
+# the public form of each preprocess mode
+PREPARE = {"paper": preprocess_dataset, "standardize": standardize_columns}
+
+
+def check_against_reference(values: np.ndarray, preprocess: str) -> None:
+    """The mode's public function within 1e-13 of reference_prepare, and
+    the column-block kernel within 1e-12 of the reference's Gram matrix."""
+    fm = FeatureMatrix(values)
+    ref = reference_prepare(values, preprocess)
+    x = PREPARE[preprocess](fm)
+    assert x.standardized
+    assert x.values.shape == ref.shape
+    assert np.max(np.abs(x.values - ref)) < 1e-13
+    g = standardized_gram(fm, log_if_positive=preprocess == "paper").values
+    assert np.max(np.abs(g - gram_values(ref))) < 1e-12
+
+
 class TestPrepare:
     KINDS = ("nonpositive", "zero-and-positive", "positive", "positive-constant",
              "mixed-constant")
 
     @pytest.mark.parametrize("preprocess", ["paper", "standardize"])
     def test_dropped_columns_counted(self, preprocess):
-        x = _prepare(FeatureMatrix(prepare_input("positive-constant", 20, 0)), preprocess)
+        x = PREPARE[preprocess](FeatureMatrix(prepare_input("positive-constant", 20, 0)))
         assert x.n_features == 297
 
     @pytest.mark.parametrize("preprocess", ["paper", "standardize"])
@@ -72,13 +91,10 @@ class TestPrepare:
     @pytest.mark.parametrize("n", [3, 12, 60, 200])
     def test_matches_reference_chain(self, n, kind, preprocess):
         values = prepare_input(kind, n, seed=n)
-        fm = FeatureMatrix(values)
-        x = _prepare(fm, preprocess)
-        ref = reference_prepare(values, preprocess)
-        assert x.standardized
-        assert x.values.shape == ref.shape
-        assert np.max(np.abs(x.values - ref)) < 1e-13
+        check_against_reference(values, preprocess)
 
+        fm = FeatureMatrix(values)
+        ref = reference_prepare(values, preprocess)
         kmax = min(n, 8)
         out = cluster_features(fm, kmax=kmax, preprocess=preprocess)
         want = cluster_features(FeatureMatrix(ref, standardized=True), kmax=kmax)
@@ -90,6 +106,62 @@ class TestPrepare:
                 assert abs(f.bic - w.bic) <= 1e-12 * abs(w.bic)
             else:
                 assert f.bic == w.bic
+
+
+def block_input(n: int, p: int, seed: int) -> np.ndarray:
+    """Log-normal values. With two objects, each column's second value is
+    its first times 2 to 4: a column whose two values nearly coincide is
+    ill-conditioned, and any float64 chain, the reference's included,
+    standardizes it with a relative error of about eps / |a - b|."""
+    rng = np.random.default_rng(seed)
+    values = rng.lognormal(size=(n, p))
+    if n == 2:
+        values[1] = values[0] * rng.uniform(2.0, 4.0, p)
+    return values
+
+
+class TestStandardizedGram:
+    """The column-block kernel and the public functions built on its block
+    step, against the reference chain, at the block edges."""
+
+    @pytest.mark.parametrize("preprocess", ["paper", "standardize"])
+    @pytest.mark.parametrize("extra", [-1, 0, 1], ids=["below", "one_block", "one_more"])
+    @pytest.mark.parametrize("n", [2, 400])
+    def test_block_edges(self, n, extra, preprocess):
+        p = _block_width(n) + extra
+        check_against_reference(block_input(n, p, seed=n + extra), preprocess)
+
+    @pytest.mark.parametrize("preprocess", ["paper", "standardize"])
+    @pytest.mark.parametrize("n", [2, 400])
+    def test_constant_columns_across_blocks(self, n, preprocess):
+        # a run of constant columns across the first boundary, and a last
+        # block that is constant throughout
+        w = _block_width(n)
+        values = block_input(n, 2 * w + 5, seed=n)
+        values[:, [w - 2, w - 1, w, w + 1, *range(2 * w, 2 * w + 5)]] = 1.5
+        check_against_reference(values, preprocess)
+
+    @pytest.mark.parametrize("preprocess", ["paper", "standardize"])
+    def test_all_constant_rejected(self, preprocess):
+        fm = FeatureMatrix(np.full((400, _block_width(400) + 1), 2.0))
+        with pytest.raises(AllColumnsConstantError):
+            standardized_gram(fm, log_if_positive=preprocess == "paper")
+        with pytest.raises(AllColumnsConstantError):
+            PREPARE[preprocess](fm)
+        with pytest.raises(AllColumnsConstantError):
+            cluster_features(fm, kmax=2, preprocess=preprocess)
+
+    def test_log_branch_follows_whole_matrix_min(self):
+        n = 400
+        values = block_input(n, _block_width(n) + 1, seed=7)
+        check_against_reference(values, "paper")
+        # one zero in the last block turns the log off for every block
+        values[3, -1] = 0.0
+        check_against_reference(values, "paper")
+        np.testing.assert_array_equal(
+            standardized_gram(FeatureMatrix(values), log_if_positive=True).values,
+            standardized_gram(FeatureMatrix(values), log_if_positive=False).values,
+        )
 
 
 class TestNumParams:
@@ -250,7 +322,7 @@ class TestSharedMemo:
     def test_sweep_matches_fits_without_memo(self, spec, n, multi_iteration):
         fm, _ = gen_mixture(spec, n)
         out = cluster_features(fm, kmax=20, preprocess="paper")
-        g = gram(_prepare(fm, "paper"))
+        g = standardized_gram(fm, log_if_positive=True)
         m = augment(g)
         dendrogram = ward_linkage(m.values)
         for k, fit in enumerate(out.fits, start=1):
