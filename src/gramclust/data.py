@@ -40,19 +40,30 @@ def _block_width(n: int) -> int:
 def _frozen(values) -> np.ndarray:
     """``values`` as a read-only, C-contiguous float64 array.
 
-    An ndarray that already is one and owns its data is adopted as is; a
-    writable array, a view, another dtype or a list is copied. The copy is
-    what keeps a caller's later writes out of the matrix types, so only an
-    owner that has frozen its array hands it over without one.
+    An ndarray that already is one is adopted as is when it owns its data,
+    or when it is a view that starts at the first byte of a read-only
+    array that does (the CSV reader hands over the leading rows of its
+    compacted buffer); a writable array, any other view, another dtype or
+    a list is copied. The copy is what keeps a caller's later writes out
+    of the matrix types, so only an owner that has frozen its array hands
+    it over without one.
     """
     if (
         type(values) is np.ndarray
         and values.dtype == np.float64
         and values.flags.c_contiguous
-        and values.flags.owndata
         and not values.flags.writeable
     ):
-        return values
+        if values.flags.owndata:
+            return values
+        base = values.base
+        if (
+            type(base) is np.ndarray
+            and base.flags.owndata
+            and not base.flags.writeable
+            and base.ctypes.data == values.ctypes.data
+        ):
+            return values
     a = np.array(values, dtype=np.float64, order="C")
     a.setflags(write=False)
     return a
@@ -71,13 +82,14 @@ def _as_matrix(values) -> np.ndarray:
 class FeatureMatrix:
     """N x P matrix of feature measurements (rows = objects).
 
-    ``values`` is read-only. A float64, C-contiguous ndarray that owns its
-    data and is already read-only is adopted without a copy; anything else
-    (a writable array, a view, a list) is copied first, so later writes to
-    the caller's array do not reach the matrix. A caller that froze an
-    array but keeps a writable view of it can still change the values, as
-    ``fm.values.setflags(write=True)`` always could. The checks run either
-    way.
+    ``values`` is read-only. A float64, C-contiguous ndarray that is
+    already read-only is adopted without a copy when it owns its data or
+    is a view that starts at the first byte of a read-only array that
+    does; anything else (a writable array, any other view, a list) is
+    copied first, so later writes to the caller's array do not reach the
+    matrix. A caller that froze an array but keeps a writable view of it
+    can still change the values, as ``fm.values.setflags(write=True)``
+    always could on an owned array. The checks run either way.
 
     Attributes
     ----------
@@ -121,8 +133,9 @@ class FeatureMatrix:
 class GramMatrix:
     """N x N normalized left Gram matrix, symmetric by construction.
 
-    ``values`` is read-only and follows FeatureMatrix's rule: a frozen,
-    owned float64 C-contiguous array is adopted, anything else copied.
+    ``values`` is read-only and follows FeatureMatrix's rule: a frozen
+    float64 C-contiguous array that owns its data, or a leading view of a
+    frozen owner, is adopted, anything else copied.
     """
 
     values: np.ndarray
@@ -309,42 +322,41 @@ def _loadtxt_float(text: str) -> float:
     return float(text)
 
 
+def _layout(path, delimiter: str):
+    """(first line, width, lines to skip, label index) of a feature CSV,
+    from its first non-blank row, which is a header unless every field
+    reads as a number. Only these four numbers outlive the scan, not the
+    header's names."""
+    with open(path, newline="", encoding=CSV_ENCODING) as fh:
+        first_line, first_row = next(_csv_rows(fh, delimiter), (None, None))
+    if first_row is None:
+        raise DataError("empty file")
+    if all(map(_is_number, first_row)):
+        return first_line, len(first_row), first_line - 1, None
+    labelled = [i for i, name in enumerate(first_row) if name.strip().lower() == "label"]
+    if len(labelled) > 1:
+        raise DataError(
+            f"two label columns, {labelled[0] + 1} and {labelled[1] + 1}", line=first_line
+        )
+    # loadtxt's skiprows counts lines, and a quoted name may hold line
+    # breaks (\n, \r or \r\n), so the values start below the header's last
+    # line
+    breaks = sum(f.count("\n") + f.count("\r") - f.count("\r\n") for f in first_row)
+    return first_line, len(first_row), first_line + breaks, labelled[0] if labelled else None
+
+
 def read_feature_csv(path, delimiter: str = ",") -> FeatureCsv:
     """Read a feature CSV into a raw FeatureMatrix.
 
     The header row is detected by attempting to parse the first row as
     numbers. A header column named ``label`` (case-insensitive) is
-    extracted as ground truth and excluded from the features. The values
-    are parsed in one pass by numpy's C reader; a ragged or non-numeric
-    row, a header with no row below it and a quote left open to the end
-    of the file raise DataError with a 1-based line number.
+    extracted as ground truth and excluded from the features; a second
+    one is an error. The values are parsed in one pass by numpy's C
+    reader, starting below the header's last line; a ragged or
+    non-numeric row, a header with no row below it and a quote left open
+    to the end of the file raise DataError with a 1-based line number.
     """
-    with open(path, newline="", encoding=CSV_ENCODING) as fh:
-        rows = _csv_rows(fh, delimiter)
-        first_line, first_row = next(rows, (None, None))
-        if first_row is None:
-            raise DataError("empty file")
-        header = not all(map(_is_number, first_row))
-        # loadtxt starts on the line after the header's first line; below a
-        # header whose quoted field spans lines (holds a line break), only
-        # csv can tell whether a row follows. A malformed row counts: loadtxt
-        # may still read it, as it reads a quote left open to the end.
-        names = "".join(first_row) if header else ""
-        if "\n" in names or "\r" in names:
-            try:
-                follows = next(rows, None) is not None
-            except DataError:
-                follows = True
-            if not follows:
-                raise DataError("no data rows", line=first_line)
-    width = len(first_row)
-    skip, label_idx = first_line - 1, None
-    if header:
-        skip = first_line
-        label_idx = next(
-            (i for i, name in enumerate(first_row) if name.strip().lower() == "label"), None
-        )
-
+    first_line, width, skip, label_idx = _layout(path, delimiter)
     labels = converters = None
     if label_idx is not None:
         labels = []
@@ -370,8 +382,18 @@ def read_feature_csv(path, delimiter: str = ",") -> FeatureCsv:
     if values.shape[1] != width:
         raise _first_bad_row(path, delimiter, skip, width, label_idx, None)
     if label_idx is not None:
-        values = np.delete(values, label_idx, axis=1)
-    values.setflags(write=False)
+        # Drop the label column inside the reader's own buffer: row i's kept
+        # fields move to flat offset i*(w-1), which ends before row i+1
+        # starts, so no row is overwritten before it has moved.
+        n, kept, flat = values.shape[0], width - 1, values.reshape(-1)
+        for i, row in enumerate(values):
+            at = i * kept
+            flat[at : at + label_idx] = row[:label_idx]
+            flat[at + label_idx : at + kept] = row[label_idx + 1 :]
+        values.setflags(write=False)
+        values = values.reshape(-1)[: n * kept].reshape(n, kept)
+    else:
+        values.setflags(write=False)
     return FeatureCsv(matrix=FeatureMatrix(values), truth_labels=labels)
 
 

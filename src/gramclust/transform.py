@@ -29,8 +29,9 @@ class AugmentedGram:
 
     Column N+1 holds the diagonal of the source G exactly; slot (i,i)
     holds the average of column i over object i's cluster-mates.
-    ``values`` is read-only and follows FeatureMatrix's rule: a frozen,
-    owned float64 C-contiguous array is adopted, anything else copied.
+    ``values`` is read-only and follows FeatureMatrix's rule: a frozen
+    float64 C-contiguous array that owns its data, or a leading view of a
+    frozen owner, is adopted, anything else copied.
     """
 
     values: np.ndarray
