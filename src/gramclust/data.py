@@ -340,8 +340,10 @@ def _layout(path, delimiter: str):
         )
     # loadtxt's skiprows counts lines, and a quoted name may hold line
     # breaks (\n, \r or \r\n), so the values start below the header's last
-    # line
-    breaks = sum(f.count("\n") + f.count("\r") - f.count("\r\n") for f in first_row)
+    # line. The names are counted joined by a separator that is no break, so
+    # a \r ending one name and a \n starting the next stay two breaks.
+    joined = ",".join(first_row)
+    breaks = joined.count("\n") + joined.count("\r") - joined.count("\r\n")
     return first_line, len(first_row), first_line + breaks, labelled[0] if labelled else None
 
 

@@ -9,11 +9,12 @@ sizes alone; otherwise a last M-step on its cluster-aware matrix decides
 whether the fit is degenerate, and only a fit that is not gets
 parameters and a score (the quasi log-likelihood and its BIC).
 
-Every per-cluster quantity depends only on the cluster's members: its
-statistics are reductions over its own rows, in row order, and a
-component's log-joint entry for a row is one contiguous sum over that row.
-A ClusterMemo shares that work between the fits of one K sweep, keyed by
-membership, without changing a bit of any result.
+Every per-cluster statistic depends only on the cluster's members: it is
+a reduction over its own rows, in row order. A ClusterMemo shares that
+work between the fits of one K sweep, keyed by membership, without
+changing a bit of any result. The log-joint of all components is two
+matrix products on the column-centred rows, so its last bits can depend
+on how many threads the BLAS runs.
 """
 
 from __future__ import annotations
@@ -141,10 +142,7 @@ class _Component:
     """One cluster's component on one matrix: its M-step and its scores.
 
     ``var`` is the floored variance and ``floored`` whether the floor
-    bound; ``norm`` is D log 2 pi + sum log var. ``column`` is the
-    component's log-joint column over all N rows once scored, and
-    ``owners`` the cluster keys of the partition it was scored under
-    (None when no row can change owner). Arrays are read-only.
+    bound; ``norm`` is D log 2 pi + sum log var. Arrays are read-only.
     """
 
     mean: np.ndarray
@@ -152,8 +150,6 @@ class _Component:
     floored: bool
     log_w: float
     norm: float = field(init=False)
-    column: Optional[np.ndarray] = None
-    owners: Optional[frozenset] = None
 
     def __post_init__(self):
         self.mean.setflags(write=False)
@@ -167,21 +163,21 @@ class ClusterMemo:
 
     Both tables map a cluster's membership (the bytes of its sorted row
     indices) to its _Component. ``sweep`` holds components on the sweep's
-    fixed matrix, whose rows never change owner. ``aware`` holds them on
-    the cluster-aware matrices, whose row i depends only on the members of
-    i's own cluster: so a cluster's statistics there depend only on its
-    members, and a component's entry for row i only on its members and on
-    the cluster that owns row i. ``slots`` maps the same keys to the
-    cluster's slot values (i,i), and ``matrix`` is the one writable
-    cluster-aware matrix of the sweep: G with its diagonal column, whose
-    slots each fit rewrites for its own partition. A memo is valid for one
-    Gram matrix and its sweep matrix.
+    fixed matrix. ``aware`` holds them on the cluster-aware matrices,
+    whose row i depends only on the members of i's own cluster, so a
+    cluster's statistics there depend only on its members. ``slots`` maps
+    the same keys to the cluster's slot values (i,i), and ``matrix`` is
+    the one writable cluster-aware matrix of the sweep: G with its
+    diagonal column, whose slots each fit rewrites for its own partition.
+    ``centred`` is the sweep matrix's _centred form, which every E-step
+    scores. A memo is valid for one Gram matrix and its sweep matrix.
     """
 
     sweep: dict = field(default_factory=dict)
     aware: dict = field(default_factory=dict)
     slots: dict = field(default_factory=dict)
     matrix: Optional[np.ndarray] = None
+    centred: Optional[tuple] = None
 
 
 def _members(labels: np.ndarray, k: int) -> tuple[list, list]:
@@ -225,52 +221,33 @@ def _params(comps: list, rows: list, n: int) -> MixtureParams:
     )
 
 
-def _log_joint(
-    x: np.ndarray, comps: list, rows: Optional[list] = None, keys: Optional[list] = None
-) -> np.ndarray:
+def _centred(x: np.ndarray) -> tuple:
+    """(c, xc, xc*xc) of ``x``: its column means c and its rows less c."""
+    c = x.mean(axis=0)
+    xc = x - c
+    return c, xc, xc * xc
+
+
+def _log_joint(x: np.ndarray, comps: list, centred: Optional[tuple] = None) -> np.ndarray:
     """(N, K) matrix of log w_k plus each component's log density.
 
-    Components are scored one at a time in one reused (N, D) buffer, each
-    row summing its D terms in one contiguous reduction. The result is the
-    transpose of a C-ordered (K, N) array; _total_loglik's log-sum-exp over
-    a row's components takes its order, and so its bits, from that layout.
-
-    A component's stored column is reused whole when ``rows`` is None.
-    Otherwise the components are the clusters of a partition, ``rows``
-    their members and ``keys`` their memo keys, and only the rows of
-    clusters outside the partition a column was scored under are scored
-    again: a row of a cluster inside it was scored with that same cluster.
-    Every column scored is stored on its component.
+    Every component is scored at once on the rows centred by their column
+    means c (``centred`` is _centred(x), computed here when None): with
+    M' = M - c, the quadratic form is
+    q = (xc*xc) @ (1/V).T - 2 xc @ (M'/V).T + sum(M'^2/V),
+    and the entry is -q/2 + log w - norm/2.
     """
-    n, d = x.shape
-    diff = np.empty((n, d))
-    joint = np.empty((len(comps), n))
-    owners = None if rows is None else frozenset(keys)
-    for c, comp in enumerate(comps):
-        if comp.column is None:
-            stale, part = slice(None), x
-        else:
-            joint[c] = comp.column
-            if rows is None:
-                continue
-            stale = [idx for idx, owner in zip(rows, keys) if owner not in comp.owners]
-            if not stale:
-                continue
-            stale = np.concatenate(stale)
-            part = x[stale]
-        buf = diff[: part.shape[0]]
-        np.subtract(part, comp.mean, out=buf)
-        buf *= buf
-        buf /= comp.var
-        scored = buf.sum(axis=1)
-        scored += comp.norm
-        scored *= -0.5
-        scored += comp.log_w
-        joint[c, stale] = scored
-        comp.column = joint[c].copy()
-        comp.column.setflags(write=False)
-        comp.owners = owners
-    return joint.T
+    c, xc, xc2 = _centred(x) if centred is None else centred
+    inv = 1.0 / np.array([comp.var for comp in comps])
+    shift = np.array([comp.mean for comp in comps]) - c
+    scaled = shift * inv
+    q = xc2 @ inv.T
+    q -= 2.0 * (xc @ scaled.T)
+    q += (shift * scaled).sum(axis=1)
+    q += [comp.norm for comp in comps]
+    q *= -0.5
+    q += [comp.log_w for comp in comps]
+    return q
 
 
 def _cluster_aware(g: GramMatrix, rows: list, keys: list, memo: ClusterMemo) -> np.ndarray:
@@ -342,6 +319,8 @@ def cem_fit(
     memo = ClusterMemo() if memo is None else memo
     k = init.k
     x = m.values
+    if memo.centred is None:
+        memo.centred = _centred(x)
     labels = init.labels.copy()
     floor_events = 0
     iterations = 0
@@ -352,7 +331,7 @@ def cem_fit(
         comps = _mstep(x, rows, keys, memo.sweep)
         iterations += 1
         floor_events += any(c.floored for c in comps)
-        new = _hard_labels(_log_joint(x, comps))
+        new = _hard_labels(_log_joint(x, comps, memo.centred))
         if (np.bincount(new, minlength=k + 1)[1:] == 0).any():
             emptied = True
             break
@@ -377,7 +356,7 @@ def cem_fit(
             comps = _mstep(aug, rows, keys, memo.aware)
             reason = "floored" if any(c.floored for c in comps) else None
     if reason is None:
-        loglik = _total_loglik(_log_joint(aug, comps, rows, keys))
+        loglik = _total_loglik(_log_joint(aug, comps))
         score = bic(loglik, num_params(k, n), n)
         # canonical component order: clusters by their first member
         order = np.argsort([idx[0] for idx in rows])

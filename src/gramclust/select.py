@@ -5,7 +5,7 @@ rows of the augmented Gram matrix and runs classification EM, which
 scores its fit by BIC on the cluster-aware matrix; the K with the largest
 finite score wins, ties going to the smaller K. The per-K fits run in
 order of K and share one ClusterMemo: the Ward cuts are nested, so most
-clusters of one fit were already fitted and scored at a smaller K.
+clusters of one fit were already fitted at a smaller K.
 """
 
 from __future__ import annotations

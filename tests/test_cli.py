@@ -113,6 +113,38 @@ class TestCluster:
             assert (e["loglik"] is None) == e["degenerate"] == (e["degenerate_reason"] is not None)
         assert any(e["degenerate"] for e in trace) and not all(e["degenerate"] for e in trace)
 
+    def test_blas_thread_count_keeps_labels(self, tmp_path):
+        # the log-joint's matrix products may round differently on 1 and 2
+        # BLAS threads: the labels and fit records stay, BIC moves in its
+        # last bits at most
+        import gramclust
+
+        path = tmp_path / "d.csv"
+        fm, truth = gen_mixture(two_cluster_spec(1.0, 1000, seed=91), 300)
+        write_feature_csv(path, fm.values, truth.labels)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gramclust.__file__)))
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"out{threads}"
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            subprocess.run([sys.executable, "-m", "gramclust.cli", "cluster", str(path),
+                            "--output-dir", str(out)], env=env, check=True,
+                           stdout=subprocess.DEVNULL)
+            res = json.loads((out / "result.json").read_text())
+            runs.append(((out / "assignments.csv").read_bytes(), res))
+        (labels1, res1), (labels2, res2) = runs
+        assert labels1 == labels2
+        assert res1["k_hat"] == res2["k_hat"]
+        trace1, trace2 = res1["bic_trace"], res2["bic_trace"]
+        for name in ("k", "degenerate_reason", "iterations"):
+            assert [e[name] for e in trace1] == [e[name] for e in trace2], name
+        scored = [(a["bic"], b["bic"]) for a, b in zip(trace1, trace2) if a["bic"] is not None]
+        # fits with many components are scored too
+        assert any(e["bic"] is not None for e in trace1[4:])
+        for a, b in scored:
+            assert abs(a - b) <= 1e-10 * abs(a)
+
     def test_kmax_one(self, fixture_csv, tmp_path):
         out = tmp_path / "out"
         assert main(["cluster", fixture_csv, "--output-dir", str(out), "--kmax", "1"]) == 0

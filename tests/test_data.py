@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from gramclust import (
     FeatureMatrix, GramMatrix, cluster_features, gram, preprocess_dataset, standardize_columns,
 )
-from gramclust.data import _block_width, read_feature_csv
+from gramclust.data import _block_width, _layout, read_feature_csv
 from gramclust.errors import (
     AllColumnsConstantError,
     DataError,
@@ -359,6 +359,22 @@ class TestReadFeatureCsv:
         parsed = read_feature_csv(path)
         np.testing.assert_array_equal(parsed.matrix.values, matrix)
         assert parsed.truth_labels == labels
+
+    @pytest.mark.parametrize("data, skip, matrix", [
+        (b'"a\nb",f2\n1,2\n3,4\n', 2, [[1, 2], [3, 4]]),
+        (b'"a\rb",f2\n1,2\n3,4\n', 2, [[1, 2], [3, 4]]),
+        (b'"a\r\nb",f2\n1,2\n3,4\n', 2, [[1, 2], [3, 4]]),
+        (b'"a\r\nb\n",f2\r\n1,2\r\n3,4\r\n', 3, [[1, 2], [3, 4]]),
+        # a \r ending one name and a \n starting the next are two breaks
+        (b'"a\r","\nb"\n1,2\n3,4\n', 3, [[1, 2], [3, 4]]),
+        (b'"a\r",f2,"\n\nb\r"\n1,2,3\n4,5,6\n', 5, [[1, 2, 3], [4, 5, 6]]),
+    ], ids=["lf", "cr", "crlf", "crlf_and_lf", "cr_then_lf_names", "three_names"])
+    def test_header_line_breaks_counted(self, tmp_path, data, skip, matrix):
+        # every line break inside the header's names is one line to skip
+        path = tmp_path / "d.csv"
+        path.write_bytes(data)
+        assert _layout(path, ",")[2] == skip
+        np.testing.assert_array_equal(read_feature_csv(path).matrix.values, matrix)
 
     def test_row_below_spanning_header_numbered_by_line(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -62,7 +62,7 @@ def fresh_mstep(x, labels, k):
 
 
 def components(weights, means, variances):
-    """Unscored, unfloored component records with these parameters."""
+    """Unfloored component records with these parameters."""
     log_w = np.log(np.asarray(weights, dtype=np.float64))
     return [
         _Component(np.array(mu, dtype=np.float64), np.array(v, dtype=np.float64), False, lw)
@@ -487,10 +487,12 @@ class TestCemFit:
                 for r in x
             ])
             joint = _log_joint(x, components(w, means, cov))
-            assert np.array_equal(joint, ref)
-            # the layout that fixes the summation order of _total_loglik's
-            # row sums
-            assert joint.T.flags.c_contiguous
+            # two matrix products on centred rows against one sum per row:
+            # equal to within 5e-16 relative here, asserted at 1e-14
+            np.testing.assert_allclose(joint, ref, rtol=1e-14, atol=0)
+            # a row's K entries are contiguous, which fixes the summation
+            # order of _total_loglik's row sums
+            assert joint.flags.c_contiguous
 
 
 def reference_mstep(x, labels, k):
@@ -560,44 +562,15 @@ class TestKernelOracle:
 
 
 def assert_frozen(comps):
-    """Stored columns, means and variances of components are read-only."""
+    """Means and variances of components are read-only."""
     for comp in comps:
-        for arr in (comp.column, comp.mean, comp.var):
+        for arr in (comp.mean, comp.var):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
 
 class TestClusterMemo:
-    def test_stale_rows_rescored(self):
-        # rows 3 and 7 move from cluster c to cluster d (and change value);
-        # every other row keeps its cluster, so the stored columns of a and
-        # b are reused there and rescored at 3 and 7, and d, a new record,
-        # is scored whole
-        rng = np.random.default_rng(31)
-        n, k = 12, 3
-        x1 = rng.normal(size=(n, n + 1))
-        x2 = x1.copy()
-        x2[[3, 7]] = rng.normal(size=(2, n + 1))
-        rows = [np.array([0, 1, 2, 4, 5, 6]), np.array([8, 9, 10, 11]), np.array([3, 7])]
-        keys1 = [b"a", b"b", b"c"]
-        keys2 = [b"a", b"b", b"d"]
-        params = (np.full(k, 1.0 / k), rng.normal(size=(k, n + 1)),
-                  rng.uniform(0.5, 2.0, size=(k, n + 1)))
-        fresh = lambda x: _log_joint(x, components(*params)).tobytes()
-        comps = components(*params)
-        first = _log_joint(x1, comps, rows, keys1)
-        assert first.tobytes() == fresh(x1)
-        comps = comps[:2] + components(*params)[2:]
-        again = _log_joint(x2, comps, rows, keys2)
-        assert again.T.flags.c_contiguous
-        assert again.tobytes() == fresh(x2)
-        assert all(c.owners == frozenset(keys2) for c in comps)
-        # under an unchanged partition the stored rows are trusted as they are
-        kept = _log_joint(x1, comps, rows, keys2)
-        assert kept.tobytes() == again.tobytes()
-        assert_frozen(comps)
-
     def test_shared_memo_matches_fresh(self):
         # non-nested random partitions that keep some clusters of a base
         # partition and redraw the rest; one memo serves every fit
@@ -614,7 +587,7 @@ class TestClusterMemo:
         m = augment(g)
         base = ClusterAssignment.from_raw(truth.labels).labels
         memo = ClusterMemo()
-        fits = []
+        scored = 0
         for trial in range(24):
             keep = rng.random(3) < 0.5
             labels = base.copy()
@@ -625,17 +598,36 @@ class TestClusterMemo:
             max_iter = int(rng.integers(1, 4))
             shared = cem_fit(g, m, init, max_iter=max_iter, memo=memo)
             assert_same_fit(shared, cem_fit(g, m, init, max_iter=max_iter))
-            fits.append(shared)
+            scored += not shared.degenerate
+        assert scored > 1
         assert_frozen(list(memo.sweep.values()) + list(memo.aware.values()))
-        # some fit reused a component whose stored column was scored under
-        # a different partition, so its stale rows were scored again
-        stale_reuse = 0
-        parts = [
-            {frozenset(np.flatnonzero(f.labels.labels == c)) for c in range(1, f.k + 1)}
-            for f in fits if not f.degenerate or np.isfinite(f.loglik)
-        ]
-        for j, part in enumerate(parts):
-            for cluster in part:
-                earlier = [q for q in parts[:j] if cluster in q]
-                stale_reuse += bool(earlier) and earlier[-1] != part
-        assert stale_reuse > 0
+
+    def test_sweep_centred_once(self, monkeypatch, separated_instance):
+        # the sweep matrix is centred once per sweep, and every E-step of
+        # every fit scores that same cache; a scored fit centres its own
+        # cluster-aware matrix in its one log-joint call
+        import gramclust.mixture as mixture
+        from gramclust.select import cluster_features
+
+        built, passed = [], []
+        centred, log_joint = mixture._centred, mixture._log_joint
+
+        def recording_centred(x):
+            built.append((x, centred(x)))
+            return built[-1][1]
+
+        def recording_log_joint(x, comps, cache=None):
+            passed.append((x, cache))
+            return log_joint(x, comps, cache)
+
+        monkeypatch.setattr(mixture, "_centred", recording_centred)
+        monkeypatch.setattr(mixture, "_log_joint", recording_log_joint)
+        out = cluster_features(separated_instance[1], kmax=6)
+        sweep_x, sweep_cache = built[0]
+        e_steps = [cache for x, cache in passed if x is sweep_x]
+        assert len(e_steps) == sum(f.iterations for f in out.fits)
+        assert all(cache is sweep_cache for cache in e_steps)
+        aware = [cache for x, cache in passed if x is not sweep_x]
+        assert 0 < len(aware) == sum(not f.degenerate for f in out.fits) < len(out.fits)
+        assert all(cache is None for cache in aware)
+        assert [x is sweep_x for x, _ in built] == [True] + [False] * len(aware)
