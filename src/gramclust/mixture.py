@@ -28,14 +28,7 @@ import numpy as np
 from .data import GramMatrix
 from .errors import EmptyClusterError
 from .hierarchy import ClusterAssignment
-# augment_with_clusters is not called here; perfbench's tracer wraps it
-# under this name
-from .transform import (  # noqa: F401
-    AugmentedGram,
-    _cluster_slots,
-    _with_diagonal,
-    augment_with_clusters,
-)
+from .transform import AugmentedGram, augment_with_clusters
 
 VARIANCE_FLOOR = 1e-8
 
@@ -165,18 +158,14 @@ class ClusterMemo:
     indices) to its _Component. ``sweep`` holds components on the sweep's
     fixed matrix. ``aware`` holds them on the cluster-aware matrices,
     whose row i depends only on the members of i's own cluster, so a
-    cluster's statistics there depend only on its members. ``slots`` maps
-    the same keys to the cluster's slot values (i,i), and ``matrix`` is
-    the one writable cluster-aware matrix of the sweep: G with its
-    diagonal column, whose slots each fit rewrites for its own partition.
-    ``centred`` is the sweep matrix's _centred form, which every E-step
-    scores. A memo is valid for one Gram matrix and its sweep matrix.
+    cluster's statistics there depend only on its members, whatever the
+    rest of the partition. ``centred`` is the sweep matrix's _centred
+    form, which every E-step scores. A memo is valid for one Gram matrix
+    and its sweep matrix.
     """
 
     sweep: dict = field(default_factory=dict)
     aware: dict = field(default_factory=dict)
-    slots: dict = field(default_factory=dict)
-    matrix: Optional[np.ndarray] = None
     centred: Optional[tuple] = None
 
 
@@ -248,20 +237,6 @@ def _log_joint(x: np.ndarray, comps: list, centred: Optional[tuple] = None) -> n
     q *= -0.5
     q += [comp.log_w for comp in comps]
     return q
-
-
-def _cluster_aware(g: GramMatrix, rows: list, keys: list, memo: ClusterMemo) -> np.ndarray:
-    """The cluster-aware matrix of the partition with clusters ``rows``:
-    memo.matrix with every slot (i,i) written, each cluster's slot values
-    taken from memo.slots when its key is there."""
-    if memo.matrix is None:
-        memo.matrix = _with_diagonal(g.values)
-    for idx, key in zip(rows, keys):
-        slots = memo.slots.get(key)
-        if slots is None:
-            slots = memo.slots[key] = _cluster_slots(g.values, idx)
-        memo.matrix[idx, idx] = slots
-    return memo.matrix
 
 
 def _hard_labels(joint: np.ndarray) -> np.ndarray:
@@ -341,6 +316,7 @@ def cem_fit(
         labels = new
 
     n = m.n_objects
+    assignment = ClusterAssignment.from_raw(labels)
     loglik = score = float("-inf")
     params = None
     if emptied:
@@ -352,7 +328,7 @@ def cem_fit(
             # slot (i, i) equals g[j, i], row j's entry in column i
             reason = "small_cluster"
         else:
-            aug = _cluster_aware(g, rows, keys, memo)
+            aug = augment_with_clusters(g, assignment).values
             comps = _mstep(aug, rows, keys, memo.aware)
             reason = "floored" if any(c.floored for c in comps) else None
     if reason is None:
@@ -362,7 +338,7 @@ def cem_fit(
         order = np.argsort([idx[0] for idx in rows])
         params = _params([comps[j] for j in order], [rows[j] for j in order], n)
     return FitResult(
-        labels=ClusterAssignment.from_raw(labels),
+        labels=assignment,
         params=params,
         loglik=loglik,
         bic=score,

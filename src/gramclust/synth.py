@@ -316,6 +316,25 @@ def _whole(name: str, value) -> int:
     raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
+def _listed(name: str, value):
+    """``value`` itself, unless it is a string: one is not read as a list
+    of its characters."""
+    if isinstance(value, str):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return value
+
+
+def _floats(name: str, values) -> tuple:
+    """``values`` as a tuple of floats; ints, floats and their numpy types
+    pass, and a string in place of the list, True or "4" raise."""
+    out = []
+    for v in _listed(name, values):
+        if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+            raise ValueError(f"{name} must hold numbers, got {v!r}")
+        out.append(float(v))
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class SimulationPlan:
     """Parametric family of mixtures over a grid of feature counts.
@@ -345,12 +364,14 @@ class SimulationPlan:
             raise ValueError("reps must be >= 30")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        object.__setattr__(self, "p_grid", tuple(_whole("p_grid", p) for p in self.p_grid))
+        object.__setattr__(
+            self, "p_grid", tuple(_whole("p_grid", p) for p in _listed("p_grid", self.p_grid))
+        )
         if not self.p_grid or min(self.p_grid) < 1 or len(set(self.p_grid)) < len(self.p_grid):
             raise ValueError("p_grid must be a non-empty list of distinct values >= 1")
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        object.__setattr__(self, "weights", _floats("weights", self.weights))
         for name in ("mean_patterns", "variance_patterns"):
-            patterns = tuple(tuple(float(v) for v in pat) for pat in getattr(self, name))
+            patterns = tuple(_floats(name, pat) for pat in _listed(name, getattr(self, name)))
             if len(patterns) != self.k0 or not all(patterns):
                 raise ValueError(f"{name} must hold one non-empty pattern per cluster")
             object.__setattr__(self, name, patterns)

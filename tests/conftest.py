@@ -60,6 +60,16 @@ UNUSABLE_PLAN_EDITS = [
     {"k0": True}, {"seed": True}, {"p_grid": [True, 50]},
     {"k0": True, "weights": [1.0], "mean_patterns": [[1.0]], "variance_patterns": [[0.0]]},
 ]
+# Edits that put a string where a list is expected, or a bool or a string
+# where a number is: none is read as the list of its characters or as 1.
+MISTYPED_PLAN_EDITS = [
+    {"mean_patterns": ["33", "12"]},
+    {"k0": 1, "weights": "1", "mean_patterns": [[1.0]], "variance_patterns": [[0.0]]},
+    {"k0": 1, "weights": [True], "mean_patterns": [[1.0]], "variance_patterns": [[0.0]]},
+    {"mean_patterns": [[True], [-1.0]]}, {"variance_patterns": [[0.0], [False]]},
+    {"weights": ["0.5", "0.5"]}, {"mean_patterns": [["1"], [-1.0]]},
+    {"p_grid": "50"},
+]
 
 
 def assert_same_fit(a, b):

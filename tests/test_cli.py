@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from gramclust import gen_mixture
 from gramclust.cli import main
 from tests.conftest import (
+    MISTYPED_PLAN_EDITS,
     NON_FINITE_PLAN_EDITS,
     UNUSABLE_PLAN_EDITS,
     simulation_plan,
@@ -427,7 +428,7 @@ class TestSimulate:
         assert main(["simulate", str(plan_path), "--output-dir", str(tmp_path / "o")]) == 2
         assert "invalid simulation plan" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("over", UNUSABLE_PLAN_EDITS)
+    @pytest.mark.parametrize("over", UNUSABLE_PLAN_EDITS + MISTYPED_PLAN_EDITS)
     def test_unusable_plan_exit_2(self, tmp_path, capsys, over):
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(json.dumps(simulation_plan(**over)))

@@ -367,21 +367,23 @@ class TestCemFit:
 
     def test_small_cluster_decided_from_sizes(self, monkeypatch):
         # a final cluster of at most 2 members makes the fit degenerate
-        # before the cluster-aware matrix is built or fitted
+        # before the cluster-aware matrix is built or fitted; a fit that
+        # gets that far builds it once, through the module global that
+        # perfbench's tracer wraps
         import gramclust.mixture as mixture
 
         calls = []
-        cluster_aware, mstep = mixture._cluster_aware, mixture._mstep
+        augment_with_clusters, mstep = mixture.augment_with_clusters, mixture._mstep
 
-        def counting_cluster_aware(*args):
+        def counting_augment(*args):
             calls.append("cluster_aware")
-            return cluster_aware(*args)
+            return augment_with_clusters(*args)
 
         def counting_mstep(x, *args):
             calls.append("sweep" if x is m.values else "aware")
             return mstep(x, *args)
 
-        monkeypatch.setattr(mixture, "_cluster_aware", counting_cluster_aware)
+        monkeypatch.setattr(mixture, "augment_with_clusters", counting_augment)
         monkeypatch.setattr(mixture, "_mstep", counting_mstep)
         g, m, init = degenerate_instance("small_cluster")
         fit = cem_fit(g, m, init)
@@ -493,6 +495,23 @@ class TestCemFit:
             # a row's K entries are contiguous, which fixes the summation
             # order of _total_loglik's row sums
             assert joint.flags.c_contiguous
+        # separated clusters with small variances: centres +/-1, noise sd
+        # 0.1, so each centred entry is large against a cluster's spread and
+        # the two products cancel; within 1e-13 relative here
+        for n, k in [(60, 3), (400, 4)]:
+            centres = rng.choice([-1.0, 1.0], size=(k, n + 1))
+            labels = np.arange(n) % k
+            x = centres[labels] + rng.normal(scale=0.1, size=(n, n + 1))
+            w = np.bincount(labels) / n
+            means = np.array([x[labels == j].mean(axis=0) for j in range(k)])
+            cov = np.array([x[labels == j].var(axis=0) for j in range(k)])
+            log_w = np.log(w)
+            ref = np.array([
+                [log_w[j] + component_density_log(r, means[j], cov[j]) for j in range(k)]
+                for r in x
+            ])
+            joint = _log_joint(x, components(w, means, cov))
+            np.testing.assert_allclose(joint, ref, rtol=1e-10, atol=0)
 
 
 def reference_mstep(x, labels, k):

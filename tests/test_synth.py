@@ -20,6 +20,7 @@ from gramclust import (
 )
 from gramclust.synth import build_spec, concentration_sweep, row_deviation_bound, stream
 from tests.conftest import (
+    MISTYPED_PLAN_EDITS,
     NON_FINITE_PLAN_EDITS,
     UNUSABLE_PLAN_EDITS,
     simulation_plan,
@@ -245,6 +246,10 @@ class TestSimulationPlan:
         simulation_plan(weights=[0.3, 0.3]), simulation_plan(weights=[0.5, 0.25, 0.25]),
         {key: value for key, value in simulation_plan().items() if key != "n"},
         simulation_plan(seed=np.True_), simulation_plan(p_grid=np.array([50.5, 100.0])),
+        *(simulation_plan(**over) for over in MISTYPED_PLAN_EDITS),
+        simulation_plan(
+            k0=1, weights=[np.True_], mean_patterns=[[1.0]], variance_patterns=[[0.0]]
+        ),
     ])
     def test_bad_plan_raises(self, raw):
         with pytest.raises((TypeError, ValueError)):

@@ -15,7 +15,6 @@ from gramclust import (
     separability_diagnostic,
 )
 from gramclust.errors import SingleClusterError
-from gramclust.mixture import ClusterMemo, _cluster_aware, _members
 from gramclust.transform import cluster_augment_values
 
 
@@ -81,44 +80,6 @@ class TestKernelOracle:
             assert np.array_equal(
                 cluster_augment_values(g, labels), reference_cluster_augment(g, labels)
             )
-
-    def test_sweep_matrix_matches_kernel(self):
-        # one memo serves a sequence of partitions, among them singletons,
-        # pairs and a cluster that comes back after its neighbours
-        # changed; its one matrix must equal the kernel's after every write
-        rng = np.random.default_rng(12)
-        n = 40
-        x = rng.normal(size=(n, n))
-        g = GramMatrix(x @ x.T / n)
-        base = rng.integers(1, 5, size=n)
-        kept = base == base[-1]
-        split = base.copy()
-        split[:2], split[2:4] = [5, 6], 7
-        partitions = [
-            base,
-            split,
-            np.where(kept, base, 5 + rng.integers(0, 3, size=n)),
-            np.where(kept, 0, np.arange(1, n + 1)),
-            base,
-        ]
-        for _ in range(30):
-            prev = partitions[-1]
-            keep = rng.random(prev.max() + 1) < 0.5
-            labels = np.where(keep[prev], prev, prev.max() + rng.integers(1, n // 2, size=n))
-            partitions.append(labels)
-        memo = ClusterMemo()
-        kept_key = np.flatnonzero(kept).tobytes()
-        for step, labels in enumerate(partitions):
-            a = ClusterAssignment.from_raw(labels)
-            rows, keys = _members(a.labels, a.k)
-            if step in (2, 3, 4):
-                assert kept_key in keys and kept_key in memo.slots
-            sweep = _cluster_aware(g, rows, keys, memo)
-            assert sweep is memo.matrix
-            assert sweep.tobytes() == cluster_augment_values(g.values, labels).tobytes()
-            assert sweep.tobytes() == reference_cluster_augment(g.values, labels).tobytes()
-        sizes = np.concatenate([np.unique(p, return_counts=True)[1] for p in partitions])
-        assert (sizes == 1).sum() > n and (sizes == 2).sum() > 5
 
 
 class TestAugment:
