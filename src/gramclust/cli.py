@@ -56,8 +56,9 @@ _SETTINGS = {
     "ami_norm": _Setting(NORM_MEAN, choices=_AMI_NORMS),
     "threads": _Setting(1, int, lambda v: v >= 1, "must be >= 1",
                         help="ignored: checked and echoed only"),
-    "delimiter": _Setting(",", check=lambda v: len(v) == 1,
-                          rule="must be a single character"),
+    # csv and numpy's reader take '"' as the quote and need rows split by lines
+    "delimiter": _Setting(",", check=lambda v: len(v) == 1 and v not in '"\n\r',
+                          rule="must be a single character other than '\"', \\n or \\r"),
     "output_dir": _Setting("."),
 }
 

@@ -13,23 +13,16 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    AllColumnsConstantError,
-    DataError,
-    NonFiniteInputError,
-    NotStandardizedError,
-)
+from .errors import AllColumnsConstantError, DataError, NonFiniteInputError
 
 # Columns whose sample standard deviation falls below this are treated as
 # constant and dropped.
 CONSTANT_SD_TOL = 1e-12
 
-STANDARD_MEAN_TOL = 1e-10
-STANDARD_SD_TOL = 1e-8
 SYMMETRY_TOL = 1e-12
 
-# Doubles per column block of the standardization kernel and of the
-# standardized check, so that their temporaries are N x block, not N x P.
+# Doubles per column block of the standardization kernel, so that its
+# temporaries are N x block, not N x P.
 _BLOCK_DOUBLES = 1 << 18
 
 
@@ -94,12 +87,9 @@ class FeatureMatrix:
     Attributes
     ----------
     values : ndarray, shape (N, P)
-    standardized : bool
-        True only if every column has mean 0 and sample sd 1 (ddof=1).
     """
 
     values: np.ndarray
-    standardized: bool = False
 
     def __post_init__(self):
         a = _as_matrix(self.values)
@@ -108,16 +98,6 @@ class FeatureMatrix:
             raise ValueError(f"need at least 2 objects, got N={n}")
         if p < 1:
             raise ValueError("need at least 1 feature")
-        if self.standardized:
-            means, sds, w = np.empty(p), np.empty(p), _block_width(n)
-            for j in range(0, p, w):
-                block = a[:, j : j + w]
-                means[j : j + w] = block.mean(axis=0)
-                sds[j : j + w] = block.std(axis=0, ddof=1)
-            if np.max(np.abs(means)) >= STANDARD_MEAN_TOL:
-                raise ValueError("standardized flag set but a column mean exceeds 1e-10")
-            if np.max(np.abs(sds - 1.0)) >= STANDARD_SD_TOL:
-                raise ValueError("standardized flag set but a column sd deviates from 1")
         object.__setattr__(self, "values", a)
 
     @property
@@ -195,7 +175,7 @@ def _standardized(x: FeatureMatrix, log_if_positive: bool) -> FeatureMatrix:
     out = np.empty(x.values.shape)
     kept = sum(b.shape[1] for b in _standardized_blocks(x.values, log_if_positive, out))
     out.setflags(write=False)
-    return FeatureMatrix(out if kept == out.shape[1] else out[:, :kept], standardized=True)
+    return FeatureMatrix(out if kept == out.shape[1] else out[:, :kept])
 
 
 def standardize_columns(x: FeatureMatrix) -> FeatureMatrix:
@@ -214,15 +194,13 @@ def preprocess_dataset(x: FeatureMatrix) -> FeatureMatrix:
     then standardize the columns as standardize_columns does, dropping
     constant columns. The result is standardized.
     """
-    if x.standardized:
-        raise ValueError("preprocess_dataset expects raw (unstandardized) input")
     return _standardized(x, log_if_positive=True)
 
 
 def standardized_gram(x: FeatureMatrix, log_if_positive: bool) -> GramMatrix:
     """The Gram matrix of ``x`` standardized, without holding the
-    standardized matrix: ``gram(preprocess_dataset(x))`` under
-    ``log_if_positive``, else ``gram(standardize_columns(x))``, within
+    standardized matrix: ``gram_values`` of ``preprocess_dataset(x)`` under
+    ``log_if_positive``, else of ``standardize_columns(x)``, within
     rounding. Each standardized column block adds ``B B^T``; the sum is
     divided by the kept column count and symmetrized as gram_values does.
     """
@@ -245,16 +223,11 @@ def gram_values(values: np.ndarray) -> np.ndarray:
 
 
 def gram(x: FeatureMatrix) -> GramMatrix:
-    """G = X X^T / P for a standardized feature matrix.
-
-    Raises NotStandardizedError when the flag is unset: the algorithm's
-    zero-column-sum invariants depend on standardization.
+    """G = X X^T / P of ``x`` column-standardized as standardize_columns
+    does, by cluster's kernel without the log step. A raw input is
+    standardized, not rejected; a standardized one moves by under 1e-10.
     """
-    if not x.standardized:
-        raise NotStandardizedError("gram requires a column-standardized FeatureMatrix")
-    g = gram_values(x.values)
-    g.setflags(write=False)
-    return GramMatrix(g)
+    return standardized_gram(x, log_if_positive=False)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,6 @@ class AllColumnsConstantError(GramClustError):
     """Every feature column has (numerically) zero variance."""
 
 
-class NotStandardizedError(GramClustError):
-    """Operation requires a column-standardized feature matrix."""
-
-
 class DimensionMismatchError(GramClustError):
     """Array shapes are inconsistent."""
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# preprocess_dataset and standardize_columns are not called here; perfbench's
-# tracer wraps them under these names
+# gram, preprocess_dataset and standardize_columns are not called here;
+# perfbench's tracer wraps them under these names
 from .data import (  # noqa: F401
     FeatureMatrix,
     gram,
@@ -89,10 +89,8 @@ def cluster_features(
     t_total = time.perf_counter()
 
     t0 = time.perf_counter()
-    if x.standardized:
-        g = gram(x)
-    else:  # under paper, the log is taken when every value is positive
-        g = standardized_gram(x, log_if_positive=preprocess == PREPROCESS_PAPER)
+    # under paper, the log is taken when every value is positive
+    g = standardized_gram(x, log_if_positive=preprocess == PREPROCESS_PAPER)
     timings["preprocess"] = time.perf_counter() - t0
 
     n = g.n_objects

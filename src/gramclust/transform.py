@@ -80,7 +80,10 @@ def cluster_augment_values(g: np.ndarray, labels: np.ndarray) -> np.ndarray:
     (the column direction matters only for asymmetric test sentinels;
     GramMatrix inputs are symmetric, making row and column readings
     identical). A singleton falls back to the full off-diagonal column
-    mean so the operation stays total during the K sweep.
+    mean so the transform stays total. Only direct callers of the public
+    transform reach that fallback: the sweep builds the one-cluster matrix,
+    and cem_fit builds this one only when every cluster has more than 2
+    members.
     """
     g = np.asarray(g, dtype=np.float64)
     lab = np.asarray(labels, dtype=np.int64)

@@ -226,18 +226,19 @@ def test_c7_runtime_linear_in_p(tmp_path):
 
     paths = {p: make_csv(p) for p in (5000, 10000)}
 
-    def median_time(p):
-        times = []
-        for r in range(5):
+    # the sizes alternate call by call, and which goes first alternates by
+    # round, so that a change in the host's speed reaches both sizes
+    times = {p: [] for p in paths}
+    for r in range(5):
+        for p in (10000, 5000) if r % 2 == 0 else (5000, 10000):
             out = tmp_path / f"out{p}_{r}"
             t0 = time.perf_counter()
             rc = cli_main(["cluster", paths[p], "--output-dir", str(out),
                            "--preprocess", "standardize"])
-            times.append(time.perf_counter() - t0)
+            times[p].append(time.perf_counter() - t0)
             assert rc == 0
-        return statistics.median(times)
 
-    ratio = median_time(10000) / median_time(5000)
+    ratio = statistics.median(times[10000]) / statistics.median(times[5000])
     assert 1.5 <= ratio <= 2.5, f"ratio {ratio:.3f}"
 
 

@@ -200,6 +200,20 @@ class TestCluster:
             assert "config error" in capsys.readouterr().err
             monkeypatch.delenv("GRAMCLUST_THREADS")
 
+    @pytest.mark.parametrize("value", ['"', "\n", "\r"], ids=["quote", "lf", "cr"])
+    def test_quote_or_line_break_delimiter_exit_2(self, fixture_csv, tmp_path, capsys,
+                                                  monkeypatch, value):
+        # csv and numpy's reader quote with '"' and split rows at line breaks;
+        # the settings are checked before any file is read
+        for command in (["cluster", fixture_csv, "--output-dir", str(tmp_path / "o")],
+                        ["eval", fixture_csv, fixture_csv]):
+            assert main([*command, "--delimiter", value]) == 2
+            assert capsys.readouterr().err.startswith("config error: delimiter must be")
+            monkeypatch.setenv("GRAMCLUST_DELIMITER", value)
+            assert main(command) == 2
+            assert capsys.readouterr().err.startswith("config error: delimiter must be")
+            monkeypatch.delenv("GRAMCLUST_DELIMITER")
+
     @pytest.mark.parametrize(
         "flag",
         [

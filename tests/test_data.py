@@ -12,13 +12,8 @@ from hypothesis import strategies as st
 from gramclust import (
     FeatureMatrix, GramMatrix, cluster_features, gram, preprocess_dataset, standardize_columns,
 )
-from gramclust.data import _block_width, _layout, read_feature_csv
-from gramclust.errors import (
-    AllColumnsConstantError,
-    DataError,
-    NonFiniteInputError,
-    NotStandardizedError,
-)
+from gramclust.data import _layout, read_feature_csv, standardized_gram
+from gramclust.errors import AllColumnsConstantError, DataError, NonFiniteInputError
 
 
 class TestFeatureMatrix:
@@ -34,28 +29,10 @@ class TestFeatureMatrix:
         with pytest.raises(ValueError):
             FeatureMatrix(np.ones((1, 3)))
 
-    def test_standardized_flag_checked(self):
-        with pytest.raises(ValueError):
-            FeatureMatrix(np.array([[5.0, 1.0], [6.0, 2.0]]), standardized=True)
-
     def test_values_read_only(self):
         fm = FeatureMatrix(np.eye(3))
         with pytest.raises(ValueError):
             fm.values[0, 0] = 9.0
-
-    @pytest.mark.parametrize("column", [1500, 2499])
-    @pytest.mark.parametrize("shift, scale, message", [
-        (1.0, 1.0, "column mean"), (0.0, 2.0, "column sd"),
-    ])
-    def test_standardized_check_covers_every_block(self, column, shift, scale, message):
-        # the check runs over column blocks; a bad column past the first
-        # block must still be caught
-        rng = np.random.default_rng(4)
-        assert _block_width(200) < 1500
-        x = standardize_columns(FeatureMatrix(rng.normal(size=(200, 2500)))).values.copy()
-        x[:, column] = x[:, column] * scale + shift
-        with pytest.raises(ValueError, match=message):
-            FeatureMatrix(x, standardized=True)
 
 
 @pytest.mark.parametrize("cls", [FeatureMatrix, GramMatrix])
@@ -104,7 +81,6 @@ class TestStandardize:
     def test_simple_column(self):
         fm = FeatureMatrix(np.array([[1.0], [2.0], [3.0]]))
         out = standardize_columns(fm)
-        assert out.standardized
         np.testing.assert_allclose(out.values[:, 0], [-1.0, 0.0, 1.0])
 
     def test_idempotent(self):
@@ -146,7 +122,6 @@ class TestPreprocess:
         # standardized, not median-centred
         x = np.array([[1.0, -1.0], [2.0, 0.0], [6.0, 5.0]])
         out = preprocess_dataset(FeatureMatrix(x))
-        assert out.standardized
         mean = x.mean(axis=0)
         sd = x.std(axis=0, ddof=1)
         np.testing.assert_allclose(out.values, (x - mean) / sd)
@@ -155,11 +130,6 @@ class TestPreprocess:
         x = np.array([[4.0, 1.0], [4.0, 2.0], [4.0, 3.0]])
         out = preprocess_dataset(FeatureMatrix(x))
         assert out.n_features == 1
-
-    def test_rejects_standardized_input(self):
-        fm = standardize_columns(FeatureMatrix(np.array([[1.0], [2.0], [3.0]])))
-        with pytest.raises(ValueError):
-            preprocess_dataset(fm)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -173,9 +143,7 @@ class TestPreprocess:
 
 class TestGram:
     def test_hand_case(self):
-        fm = FeatureMatrix(
-            np.array([[-1.0, -1.0], [0.0, 0.0], [1.0, 1.0]]), standardized=True
-        )
+        fm = FeatureMatrix(np.array([[-1.0, -1.0], [0.0, 0.0], [1.0, 1.0]]))
         g = gram(fm)
         np.testing.assert_allclose(
             g.values, [[1.0, 0.0, -1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 1.0]]
@@ -197,10 +165,14 @@ class TestGram:
         g = gram(fm)
         assert np.max(np.abs(g.values.sum(axis=0))) < 1e-8
 
-    def test_requires_standardized(self):
-        fm = FeatureMatrix(np.arange(6.0).reshape(3, 2))
-        with pytest.raises(NotStandardizedError):
-            gram(fm)
+    def test_standardizes_raw_input(self):
+        # gram is the column-block kernel without the log step, so a raw
+        # positive input is standardized as it is, not logged first
+        rng = np.random.default_rng(5)
+        fm = FeatureMatrix(rng.lognormal(mean=3.0, size=(12, 70)))
+        g = gram(fm).values
+        assert g.tobytes() == standardized_gram(fm, log_if_positive=False).values.tobytes()
+        assert np.max(np.abs(g - gram(standardize_columns(fm)).values)) < 1e-12
 
     def test_symmetry_enforced(self):
         rng = np.random.default_rng(3)

@@ -1,6 +1,7 @@
 """Tests for parameter counting, BIC, and the K-sweep driver."""
 
 from dataclasses import replace
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gramclust import (
-    FeatureMatrix, MixtureSpec, ami, augment, bic, cem_fit, cluster_features,
+    FeatureMatrix, GramMatrix, MixtureSpec, ami, augment, bic, cem_fit, cluster_features,
     contingency, cut_tree, gen_mixture, num_params, preprocess_dataset,
     standardize_columns,
 )
@@ -70,7 +71,8 @@ def check_against_reference(values: np.ndarray, preprocess: str) -> None:
     fm = FeatureMatrix(values)
     ref = reference_prepare(values, preprocess)
     x = PREPARE[preprocess](fm)
-    assert x.standardized
+    assert np.max(np.abs(x.values.mean(axis=0))) < 1e-10
+    assert np.max(np.abs(x.values.std(axis=0, ddof=1) - 1.0)) < 1e-8
     assert x.values.shape == ref.shape
     assert np.max(np.abs(x.values - ref)) < 1e-13
     g = standardized_gram(fm, log_if_positive=preprocess == "paper").values
@@ -97,7 +99,7 @@ class TestPrepare:
         ref = reference_prepare(values, preprocess)
         kmax = min(n, 8)
         out = cluster_features(fm, kmax=kmax, preprocess=preprocess)
-        want = cluster_features(FeatureMatrix(ref, standardized=True), kmax=kmax)
+        want = reference_sweep(ref, kmax)
         assert out.k_hat == want.k_hat
         np.testing.assert_array_equal(out.labels.labels, want.labels.labels)
         for f, w in zip(out.fits, want.fits, strict=True):
@@ -106,6 +108,17 @@ class TestPrepare:
                 assert abs(f.bic - w.bic) <= 1e-12 * abs(w.bic)
             else:
                 assert f.bic == w.bic
+
+
+def reference_sweep(ref: np.ndarray, kmax: int) -> ClusterOutput:
+    """The K sweep of cluster_features from G on, with G = gram_values(ref)
+    instead of the column-block kernel's G, and each fit without the
+    sweep's shared memo."""
+    g = GramMatrix(gram_values(ref))
+    m = augment(g)
+    dendrogram = ward_linkage(m.values)
+    fits = (cem_fit(g, m, cut_tree(dendrogram, k)) for k in range(1, kmax + 1))
+    return ClusterOutput(tuple(fits), {})
 
 
 def block_input(n: int, p: int, seed: int) -> np.ndarray:
@@ -380,3 +393,84 @@ class TestPermutationProperties:
         perm = rng.permutation(x.shape[1])
         moved = self.labels(x[:, perm], preprocess)
         assert same_partition(moved, self.labels(x, preprocess))
+
+
+class Cell(NamedTuple):
+    """One cell of the recovery frontier: draws spec(seed) of n objects."""
+
+    spec: Callable
+    exact: int  # frozen: seeds of 4 with k_hat == K0 and AMI 1
+    r: Optional[float] = None
+    n: int = 200
+    labels: Optional[np.ndarray] = None
+    preprocess: str = "standardize"
+
+
+def antipodal(a: float, f: float, exact: int, p: int = 2000) -> Cell:
+    """K0 = 2: means +a and -a on the first f P columns, 0 elsewhere, and
+    unit noise. ``r`` is the variance of G's between-cluster row shift
+    over that of its independent term, after column standardization; the
+    diagonal model cannot express the shift and splits along it as r
+    grows."""
+    def spec(seed):
+        means = np.zeros((2, p))
+        means[0, : int(f * p)], means[1, : int(f * p)] = a, -a
+        return MixtureSpec(k0=2, weights=[0.5, 0.5], means=means,
+                           variances=np.ones((2, p)), seed=seed)
+    return Cell(spec, exact, r=a * a * f / (f + (1.0 - f) * (1.0 + a * a) ** 2))
+
+
+def gaussian_spec(weights, a: float, f: float, p: int = 2000) -> Callable:
+    """Means a * N(0, 1) on the first f P columns and 0 elsewhere."""
+    k0 = len(weights)
+
+    def spec(seed):
+        means = np.zeros((k0, p))
+        means[:, : int(f * p)] = a * np.random.default_rng(seed).standard_normal(
+            (k0, int(f * p)))
+        return MixtureSpec(k0=k0, weights=weights, means=means,
+                           variances=np.ones((k0, p)), seed=seed)
+    return spec
+
+
+ALIZADEH_SIZES = (42, 9, 11)
+
+# The last cell is shaped like the Alizadeh-v2 lymphoma data (N = 62,
+# P = 2095, classes of 42, 9 and 11, log-normal values, sparse informative
+# genes); it stands in for criterion 8, whose data is not bundled, and
+# reproduces nothing of it.
+FRONTIER = {
+    "K0=2 a=6 f=0.05": antipodal(6.0, 0.05, exact=4),
+    "K0=2 a=0.3 f=1": antipodal(0.3, 1.0, exact=4),
+    "K0=2 a=2 f=0.5": antipodal(2.0, 0.5, exact=3),
+    "K0=2 a=1 f=0.5": antipodal(1.0, 0.5, exact=0),
+    "K0=2 a=0.6 f=1": antipodal(0.6, 1.0, exact=0),
+    "K0=2 a=1 f=1": antipodal(1.0, 1.0, exact=0),
+    "K0=2 a=6 f=1": antipodal(6.0, 1.0, exact=0),
+    "K0=3 gaussian a=3 f=1": Cell(gaussian_spec([1 / 3] * 3, 3.0, 1.0), exact=1),
+    "K0=3 gaussian a=3 f=0.1": Cell(gaussian_spec([1 / 3] * 3, 3.0, 0.1), exact=4),
+    "K0=1 null": Cell(lambda seed: null_spec(2000, seed), exact=4, r=0.0),
+    "Alizadeh-shaped a=1 f=0.1": Cell(
+        gaussian_spec(np.array(ALIZADEH_SIZES) / 62, 1.0, 0.1, p=2095), exact=3, n=62,
+        labels=np.repeat([1, 2, 3], ALIZADEH_SIZES), preprocess="paper"),
+}
+
+
+def test_recovery_frontier():
+    # a scoring change that moves a frozen count logs the grid before and
+    # after
+    rows, exact = [], {}
+    for name, cell in FRONTIER.items():
+        k_hats = []
+        exact[name] = 0
+        for seed in range(5000, 5004):
+            fm, truth = gen_mixture(cell.spec(seed), cell.n, labels=cell.labels)
+            if cell.preprocess == "paper":
+                fm = FeatureMatrix(np.exp(fm.values))
+            out = cluster_features(fm, preprocess=cell.preprocess)
+            k_hats.append(out.k_hat)
+            exact[name] += out.k_hat == truth.k and ami(truth, out.labels) == 1.0
+        r_text = "-" if cell.r is None else f"{cell.r:.3g}"
+        rows.append(f"{r_text:>7}  {name:<26} k_hat {k_hats}  exact {exact[name]}/4")
+    print("\n      r  cell" + "".join("\n" + row for row in rows))
+    assert exact == {name: cell.exact for name, cell in FRONTIER.items()}
