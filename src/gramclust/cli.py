@@ -66,7 +66,7 @@ _SETTINGS = {
 # environment, checks and echoes. threads has no effect; cluster and
 # simulate take it only because perfbench/run.py passes --threads nproc
 # when os.cpu_count() > nproc and perfbench/tests asserts
-# 1 <= config.threads <= nproc. ROADMAP item 1 removes it with those.
+# 1 <= config.threads <= nproc. ROADMAP item 4 removes it with those.
 _COMMAND_SETTINGS = {
     "cluster": tuple(_SETTINGS),
     "eval": ("ami_norm", "delimiter"),
@@ -229,7 +229,9 @@ def cmd_eval(pred_path: str, truth_path: str, config: argparse.Namespace) -> int
         [truth[i] for i in ids],
         normalization=config.ami_norm,
     )
-    print(f"{value:.6f}")
+    text = f"{value:.6f}"
+    # AMI can land a rounding error below an exact 0; print that unsigned.
+    print("0.000000" if text == "-0.000000" else text)
     return 0
 
 

@@ -17,6 +17,10 @@ from .errors import KOutOfRangeError
 # so violations can only come from floating-point noise).
 _MONOTONE_RTOL = 1e-9
 
+# Rows per block of Ward's distance products: at N = 400 a block's
+# N-column product is 0.2 MB, so no N x N array is ever held.
+_WARD_BLOCK_ROWS = 64
+
 
 def canonicalize_labels(labels) -> tuple[np.ndarray, int]:
     """Relabel to 1..k in order of first occurrence; returns (labels, k)."""
@@ -91,10 +95,14 @@ def ward_linkage(points) -> Dendrogram:
     """Agglomerative Ward tree over the rows of ``points``.
 
     Merge cost is the within-cluster sum-of-squares increase, d^2/2 for
-    scipy's Ward distance d. scipy takes the rows' pairwise distances
-    (pdist: O(N^2 D) time for D columns, O(N^2) memory), then merges by
-    the nearest-neighbour chain in O(N^2). Exact ties merge in scipy's
-    order, which is deterministic for a given row order.
+    scipy's Ward distance d. The rows' pairwise Euclidean distances come
+    from matrix products over blocks of rows, d^2 = |a|^2 + |b|^2 - 2 a.b
+    clamped at 0 (O(N^2 D) flops at BLAS speed for D columns; O(N^2)
+    memory for the condensed distances plus one block), and scipy merges
+    them by the nearest-neighbour chain in O(N^2). Ties are ties in these
+    computed distances: distances equal in exact arithmetic may split by
+    rounding, and the costs' last bits depend on the BLAS thread count.
+    Exact ties merge in scipy's order, deterministic for a given row order.
     """
     # Imported here, not at module level: scipy.cluster would add about
     # 0.1-0.2 s and 12 MB to `import gramclust.cli` (2-core VM), which the
@@ -104,9 +112,22 @@ def ward_linkage(points) -> Dendrogram:
     x = np.asarray(points, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("need a 2-D array with at least 2 rows")
-    z = linkage(x, method="ward")
+    n = x.shape[0]
+    sq = np.einsum("ij,ij->i", x, x)
+    # Condensed order: row i's distances to j > i start at n*i - i*(i+1)/2.
+    y = np.empty(n * (n - 1) // 2)
+    for i0 in range(0, n - 1, _WARD_BLOCK_ROWS):
+        i1 = min(i0 + _WARD_BLOCK_ROWS, n - 1)
+        d2 = x[i0:i1] @ x[i0:].T
+        d2 *= -2.0
+        d2 += sq[i0:i1, None]
+        d2 += sq[i0:]
+        np.maximum(d2, 0.0, out=d2)
+        upper = np.arange(n - i0) > np.arange(i1 - i0)[:, None]
+        y[n * i0 - i0 * (i0 + 1) // 2: n * i1 - i1 * (i1 + 1) // 2] = np.sqrt(d2[upper])
+    z = linkage(y, method="ward")
     z[:, 2] = z[:, 2] ** 2 / 2.0
-    return Dendrogram(merges=z, n_points=x.shape[0])
+    return Dendrogram(merges=z, n_points=n)
 
 
 def cut_tree(d: Dendrogram, k: int) -> ClusterAssignment:

@@ -86,18 +86,13 @@ def expected_mutual_info(row_marginals, col_marginals, n: int) -> float:
     canonically sorted marginals (n at most a few hundred keeps this
     cheap, so no sampling is involved).
     """
-    # Imported here, not at module level: scipy.special would add about
-    # 0.2 s to `import gramclust.cli` (2-core VM), which the simulate
-    # command never needs.
-    from scipy.special import gammaln
-
     a = tuple(sorted((int(x) for x in np.ravel(row_marginals)), reverse=True))
     b = tuple(sorted((int(x) for x in np.ravel(col_marginals)), reverse=True))
     if sum(a) != n or sum(b) != n:
         raise ValueError("marginals must sum to n")
     if (len(a), a) > (len(b), b):
         a, b = b, a
-    logfact = gammaln(np.arange(n + 1, dtype=np.float64) + 1.0)
+    logfact = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
     emi = 0.0
     for ai in a:
         for bj in b:

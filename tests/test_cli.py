@@ -38,8 +38,8 @@ def write_feature_csv(path, x, labels=None):
 
 
 def test_import_does_not_load_scipy_cluster():
-    # the Ward tree imports scipy.cluster and the E[MI] oracle
-    # scipy.special on first use; simulate needs neither
+    # the Ward tree imports scipy.cluster on first use; simulate and
+    # eval load no scipy
     import gramclust
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(gramclust.__file__)))

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.cluster.hierarchy import linkage
 
+from gramclust import MixtureSpec, augment, gen_mixture, gram
 from gramclust.errors import KOutOfRangeError
 from gramclust.hierarchy import (
     ClusterAssignment,
@@ -160,6 +162,31 @@ class TestWardLinkage:
             d = ward_linkage(pts)
             costs = d.merges[:, 2]
             assert np.all(np.diff(costs) >= -1e-9 * np.maximum(1.0, costs[:-1]))
+
+    def test_matches_scipy_pdist_route(self):
+        # N + 1 columns, as select passes; both sizes span several row blocks
+        rng = np.random.default_rng(27)
+        spec = MixtureSpec(k0=2, weights=[0.5, 0.5],
+                           means=np.vstack([np.ones(300), -np.ones(300)]),
+                           variances=np.ones((2, 300)), seed=27)
+        fm, _ = gen_mixture(spec, 400)
+        for pts in (rng.normal(size=(150, 151)), augment(gram(fm)).values):
+            d = ward_linkage(pts)
+            ref = linkage(pts, method="ward")
+            np.testing.assert_array_equal(d.merges[:, [0, 1, 3]], ref[:, [0, 1, 3]])
+            np.testing.assert_allclose(d.merges[:, 2], ref[:, 2] ** 2 / 2, rtol=1e-9)
+
+    def test_identical_rows_across_blocks_merge_first(self):
+        rng = np.random.default_rng(28)
+        pts = rng.normal(size=(150, 151))
+        pts[140] = pts[3]
+        pts[130] = pts[70]
+        d = ward_linkage(pts)
+        first = {frozenset(map(int, row[:2])) for row in d.merges[:2]}
+        assert first == {frozenset({3, 140}), frozenset({70, 130})}
+        assert (d.merges[:2, 3] == 2).all()
+        scale = np.max((pts ** 2).sum(axis=1))
+        assert np.max(d.merges[:2, 2]) <= 1e-12 * scale
 
     def test_monotone_cost_check(self):
         def tree(costs):
