@@ -38,8 +38,7 @@ def write_feature_csv(path, x, labels=None):
 
 
 def test_import_does_not_load_scipy_cluster():
-    # the Ward tree imports scipy.cluster on first use; simulate and
-    # eval load no scipy
+    # no command needs scipy, so importing the CLI loads none of it
     import gramclust
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(gramclust.__file__)))
@@ -65,6 +64,25 @@ def fixture_csv(tmp_path_factory):
     fm, truth = gen_mixture(spec, 30)
     write_feature_csv(path, fm.values, truth.labels)
     return str(path)
+
+
+def test_cluster_runs_without_scipy(fixture_csv, tmp_path):
+    # with scipy unimportable, a fresh interpreter writes the same
+    # artifacts as this one
+    import gramclust
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gramclust.__file__)))
+    ref, out = tmp_path / "ref", tmp_path / "noscipy"
+    assert main(["cluster", fixture_csv, "--output-dir", str(ref)]) == 0
+    code = (
+        "import sys; sys.modules['scipy'] = None; "
+        "from gramclust.cli import main; "
+        f"sys.exit(main(['cluster', {fixture_csv!r}, '--output-dir', {str(out)!r}]))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    for name in ("assignments.csv", "bic_trace.csv"):
+        assert (out / name).read_bytes() == (ref / name).read_bytes()
 
 
 class TestCluster:

@@ -65,6 +65,71 @@ def reference_cut_tree(d, k):
     return reference_canonicalize(roots)
 
 
+def reference_nn_chain(points):
+    """Scalar nearest-neighbour chain: oracle for ward_linkage's tie rule.
+
+    Plain loops over a list of squared distances, with the rule that
+    ward_linkage documents: a chain step takes the first live index at
+    the tip's minimum unless the tip's predecessor ties it; the merged
+    cluster keeps the higher slot; merges are stably sorted by cost and
+    numbered by union-find. The update is Ward's Lance-Williams formula
+    in squared form, term for term in ward_linkage's order, so on integer
+    points the two agree to the bit.
+    """
+    pts = np.asarray(points, dtype=float)
+    n = len(pts)
+    d = [[float(((pts[i] - pts[j]) ** 2).sum()) for j in range(n)] for i in range(n)]
+    size = [1] * n
+    chain, merges = [], []
+    for _ in range(n - 1):
+        if not chain:
+            chain = [min(i for i in range(n) if size[i])]
+        while True:
+            tip = chain[-1]
+            best = chain[-2] if len(chain) > 1 else None
+            for i in range(n):
+                if size[i] and i != tip and (best is None or d[tip][i] < d[tip][best]):
+                    best = i
+            if len(chain) > 1 and best == chain[-2]:
+                break
+            chain.append(best)
+        a, b = sorted(chain[-2:])
+        del chain[-2:]
+        dab, na, nb = d[a][b], size[a], size[b]
+        merges.append((a, b, dab))
+        size[a], size[b] = 0, na + nb
+        for i in range(n):
+            if size[i] and i != b:
+                s = size[i]
+                new = (s + na) * d[a][i] + (s + nb) * d[b][i] - s * dab
+                d[i][b] = d[b][i] = new / (s + (na + nb))
+    parent = list(range(2 * n - 1))
+    count = [1] * (2 * n - 1)
+
+    def find(p):
+        while parent[p] != p:
+            p = parent[p]
+        return p
+
+    out = []
+    order = sorted(range(n - 1), key=lambda t: merges[t][2])  # stable
+    for new_id, t in enumerate(order, n):
+        a, b = sorted((find(merges[t][0]), find(merges[t][1])))
+        parent[a] = parent[b] = new_id
+        count[new_id] = count[a] + count[b]
+        out.append((a, b, merges[t][2] / 2.0, count[new_id]))
+    return np.array(out, dtype=float).reshape(-1, 4)
+
+
+def duplicated_integer_points(rng, high):
+    """2..40 rows drawn with replacement from a few integer points in
+    [0, high]^dim, so many distances tie exactly."""
+    n = int(rng.integers(2, 41))
+    shape = (int(rng.integers(1, n // 2 + 2)), int(rng.integers(1, 4)))
+    base = rng.integers(0, high + 1, size=shape)
+    return base[rng.integers(0, len(base), size=n)].astype(float)
+
+
 class TestKernelOracle:
     def test_canonicalize_matches_loop(self):
         rng = np.random.default_rng(21)
@@ -131,7 +196,8 @@ class TestWardLinkage:
     def test_four_point_example(self):
         pts = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 10.0], [10.0, 11.0]])
         d = ward_linkage(pts)
-        # both tight pairs cost 0.5; the tie merges in scipy's order
+        # both tight pairs cost 0.5: the chain starts at 0, merges {0, 1}
+        # first, and the stable sort by cost keeps that order
         assert {int(d.merges[0][0]), int(d.merges[0][1])} == {0, 1}
         assert d.merges[0][2] == pytest.approx(0.5)
         assert {int(d.merges[1][0]), int(d.merges[1][1])} == {2, 3}
@@ -164,7 +230,7 @@ class TestWardLinkage:
             assert np.all(np.diff(costs) >= -1e-9 * np.maximum(1.0, costs[:-1]))
 
     def test_matches_scipy_pdist_route(self):
-        # N + 1 columns, as select passes; both sizes span several row blocks
+        # N + 1 columns, as select passes
         rng = np.random.default_rng(27)
         spec = MixtureSpec(k0=2, weights=[0.5, 0.5],
                            means=np.vstack([np.ones(300), -np.ones(300)]),
@@ -175,6 +241,28 @@ class TestWardLinkage:
             ref = linkage(pts, method="ward")
             np.testing.assert_array_equal(d.merges[:, [0, 1, 3]], ref[:, [0, 1, 3]])
             np.testing.assert_allclose(d.merges[:, 2], ref[:, 2] ** 2 / 2, rtol=1e-9)
+
+    def test_tie_rule_matches_scalar_chain(self):
+        # small integer grids tie everywhere, also after Lance-Williams
+        # updates; the whole-row kernel must make the scalar loop's choices
+        rng = np.random.default_rng(29)
+        for _ in range(150):
+            pts = duplicated_integer_points(rng, 3)
+            np.testing.assert_array_equal(ward_linkage(pts).merges, reference_nn_chain(pts))
+
+    def test_ties_match_scipy(self):
+        # duplicated rows tie exactly (zero distances, and equal distances
+        # to every other point), in squared form and in scipy's square
+        # roots alike. Ties that appear only after an update can split
+        # differently from scipy on small grids, because scipy updates
+        # the square roots; test_tie_rule_matches_scalar_chain pins those.
+        rng = np.random.default_rng(30)
+        for _ in range(300):
+            pts = duplicated_integer_points(rng, 1000)
+            d = ward_linkage(pts)
+            ref = linkage(pts, method="ward")
+            np.testing.assert_array_equal(d.merges[:, [0, 1, 3]], ref[:, [0, 1, 3]])
+            np.testing.assert_allclose(d.merges[:, 2], ref[:, 2] ** 2 / 2, rtol=1e-12, atol=0)
 
     def test_identical_rows_across_blocks_merge_first(self):
         rng = np.random.default_rng(28)
@@ -187,6 +275,16 @@ class TestWardLinkage:
         assert (d.merges[:2, 3] == 2).all()
         scale = np.max((pts ** 2).sum(axis=1))
         assert np.max(d.merges[:2, 2]) <= 1e-12 * scale
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 1e200 ** 2
+    def test_rejects_non_finite_points(self):
+        for bad in (np.nan, np.inf, 1e200):
+            with pytest.raises(ValueError, match="finite"):
+                ward_linkage(np.array([[0.0, 1.0], [bad, 2.0], [3.0, 4.0]]))
+        # finite squares whose Lance-Williams updates would overflow
+        big = np.random.default_rng(31).normal(size=(60, 3)) * 1e153
+        with pytest.raises(ValueError, match="overflow"):
+            ward_linkage(big)
 
     def test_monotone_cost_check(self):
         def tree(costs):
