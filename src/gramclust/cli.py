@@ -236,7 +236,7 @@ def cmd_eval(pred_path: str, truth_path: str, config: argparse.Namespace) -> int
 
 
 def cmd_simulate(plan_path: str, config: argparse.Namespace) -> int:
-    with open(plan_path) as fh:
+    with open(plan_path, encoding=CSV_ENCODING) as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:

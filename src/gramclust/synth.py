@@ -20,9 +20,11 @@ import numpy as np
 
 from .data import FeatureMatrix, gram_values
 from .hierarchy import ClusterAssignment
-from .transform import cluster_augment_values, expected_rows
+from .transform import _expectation_table, _laid_out, cluster_augment_values, expected_rows
 
 _REJECTION_CAP = 10_000
+# Doubles in one gathered block of gen_mixture's scales or shifts.
+_BLOCK = 2**15
 
 
 @dataclass(frozen=True)
@@ -96,10 +98,20 @@ def gen_mixture(
         if lab.shape != (n,):
             raise ValueError("labels must have length n")
     # One buffer: the noise is scaled and shifted in place and then frozen,
-    # so the FeatureMatrix adopts it.
+    # so the FeatureMatrix adopts it. Gathering the per-row scales and
+    # shifts for all of x at once would make two more N x P arrays, and a
+    # caller that draws again and again (the harnesses below) would fault
+    # their pages in anew every call. Blocks of rows keep each gathered
+    # temporary at most _BLOCK doubles (but at least one row); each element
+    # still gets the same multiply and then the same add.
     x = rng.standard_normal((n, spec.p))
-    x *= np.sqrt(spec.variances)[lab - 1]
-    x += spec.means[lab - 1]
+    sd = np.sqrt(spec.variances)
+    rows = max(1, _BLOCK // spec.p)
+    for start in range(0, n, rows):
+        idx = lab[start:start + rows] - 1
+        block = x[start:start + rows]
+        block *= sd[idx]
+        block += spec.means[idx]
     x.setflags(write=False)
     return FeatureMatrix(x), ClusterAssignment(lab, spec.k0)
 
@@ -209,16 +221,18 @@ def empirical_concentration(
         raise ValueError("need reps >= 30")
     if rngs is None:
         rngs = replicate_streams(np.random.SeedSequence(spec.seed), reps)
+    # The spec-only terms of expected_rows, once; a replicate's expected
+    # rows are then one gather against its assignment.
+    table = _expectation_table(spec.means, spec.variances)
     sq = np.empty(reps)
     row_sq = np.empty((reps, n))
     for r in range(reps):
         rng = rngs[r]
         lab = _draw_labels_min_size(spec, n, rng, 2)
-        fm, truth = gen_mixture(spec, n, rng=rng, labels=lab)
+        fm, _ = gen_mixture(spec, n, rng=rng, labels=lab)
         gv = gram_values(fm.values)
-        aug = cluster_augment_values(gv, truth.labels)
-        expectations = expected_rows(spec, truth)
-        diff = aug - expectations.row_means
+        aug = cluster_augment_values(gv, lab)
+        diff = aug - _laid_out(table, lab - 1, lab)
         per_row = (diff * diff).sum(axis=1)
         row_sq[r] = per_row
         sq[r] = per_row.sum()

@@ -151,28 +151,36 @@ def expected_rows(spec: "MixtureSpec", labels: ClusterAssignment) -> RowExpectat
         raise DimensionMismatchError(
             f"means shape {mu.shape} != variances shape {var.shape}"
         )
-    k0, p = mu.shape
+    k0 = mu.shape[0]
     lab = labels.labels
     if lab.max() > k0:
         raise DimensionMismatchError("assignment uses a cluster the spec lacks")
 
+    table = _expectation_table(mu, var)
+    return RowExpectations(
+        row_means=_laid_out(table, lab - 1, lab),
+        pairwise=table[:, :k0],
+        diagonal=table[:, k0],
+        cluster_rows=_laid_out(table, np.arange(k0), lab),
+    )
+
+
+def _expectation_table(mu: np.ndarray, var: np.ndarray) -> np.ndarray:
+    """K0 x (K0+1): the pairwise expectations mu_a . mu_b / P, closed by
+    the diagonal column (pairwise[a, a] plus the average variance)."""
+    p = mu.shape[1]
     pairwise = mu @ mu.T / p
     diagonal = np.diag(pairwise) + var.sum(axis=1) / p
+    return np.column_stack([pairwise, diagonal])
 
-    # cluster_rows[a] lays pairwise[a, label_j] against the assignment and
-    # closes with diagonal[a]; the j == i slot of an object's own row
-    # carries pairwise[a, a], matching the same-cluster column average in
-    # the transform.
-    cluster_rows = np.concatenate(
-        [pairwise[:, lab - 1], diagonal[:, None]], axis=1
-    )
-    row_means = cluster_rows[lab - 1]
-    return RowExpectations(
-        row_means=row_means,
-        pairwise=pairwise,
-        diagonal=diagonal,
-        cluster_rows=cluster_rows,
-    )
+
+def _laid_out(table: np.ndarray, clusters: np.ndarray, lab: np.ndarray) -> np.ndarray:
+    """Expected rows for clusters ``clusters`` (0-based), one gather: row
+    a lays table[a, label_j] against the assignment and closes with the
+    diagonal column. The j == i slot of an object's own row carries
+    pairwise[a, a], matching the same-cluster column average in the
+    transform."""
+    return table[np.ix_(clusters, np.append(lab - 1, table.shape[0]))]
 
 
 @dataclass(frozen=True)

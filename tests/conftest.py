@@ -1,5 +1,7 @@
 """Shared fixtures and helpers for the test suite."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,17 @@ def two_cluster_spec(amplitude: float, p: int, seed: int = 0,
         variances=np.ones((2, p)),
         seed=seed,
     )
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes traced while ``fn`` runs; numpy reports its buffers to
+    tracemalloc, so the figure is deterministic."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def simulation_plan(**over):

@@ -481,6 +481,18 @@ class TestSimulate:
         assert main(["simulate", str(plan_path), "--output-dir", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith("error: could not draw")
 
+    def test_bom_plan_runs(self, tmp_path):
+        # plans are read as UTF-8 and a leading byte order mark is dropped,
+        # as for feature and assignment CSVs
+        text = json.dumps(simulation_plan(variance_patterns=[[1.0], [2.0]]))
+        (tmp_path / "plain.json").write_text(text, encoding="utf-8")
+        (tmp_path / "bom.json").write_text(text, encoding="utf-8-sig")
+        for name in ("plain", "bom"):
+            argv = ["simulate", str(tmp_path / f"{name}.json"), "--output-dir", str(tmp_path / name)]
+            assert main(argv) == 0
+        assert ((tmp_path / "bom" / "concentration.csv").read_bytes()
+                == (tmp_path / "plain" / "concentration.csv").read_bytes())
+
     def test_malformed_json_exit_1(self, tmp_path):
         plan_path = tmp_path / "plan.json"
         plan_path.write_text("{not json")

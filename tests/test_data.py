@@ -1,7 +1,6 @@
 """Tests for feature-matrix preprocessing and the Gram matrix."""
 
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,6 +13,7 @@ from gramclust import (
 )
 from gramclust.data import _layout, read_feature_csv, standardized_gram
 from gramclust.errors import AllColumnsConstantError, DataError, NonFiniteInputError
+from tests.conftest import traced_peak
 
 
 class TestFeatureMatrix:
@@ -395,17 +395,6 @@ class TestReadFeatureCsv:
             with pytest.raises(DataError) as exc:
                 read_feature_csv(path)
             assert exc.value.line == 3
-
-
-def traced_peak(fn) -> int:
-    """Peak bytes traced while ``fn`` runs; numpy reports its buffers to
-    tracemalloc, so the figure is deterministic."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestPeakMemory:

@@ -18,14 +18,45 @@ from gramclust import (
     expectation_check,
     gen_mixture,
 )
-from gramclust.synth import build_spec, concentration_sweep, row_deviation_bound, stream
+from gramclust.data import gram_values
+from gramclust.hierarchy import ClusterAssignment
+from gramclust.synth import (
+    build_spec, concentration_sweep, replicate_streams, row_deviation_bound, stream,
+)
+from gramclust.transform import cluster_augment_values, expected_rows
 from tests.conftest import (
     MISTYPED_PLAN_EDITS,
     NON_FINITE_PLAN_EDITS,
     UNUSABLE_PLAN_EDITS,
     simulation_plan,
+    traced_peak,
     two_cluster_spec,
 )
+
+
+def three_cluster_spec(p: int, seed: int) -> MixtureSpec:
+    """The benchmark's simulate mixture at feature count p: unequal
+    weights, and variances that differ between clusters and features."""
+    return MixtureSpec(
+        k0=3, weights=[0.4, 0.35, 0.25],
+        means=np.vstack([3 * np.ones(p), -3 * np.ones(p), np.resize([3.0, -3.0], p)]),
+        variances=np.vstack([np.ones(p), 2 * np.ones(p), np.resize([0.5, 1.5], p)]),
+        seed=seed,
+    )
+
+
+def gather_draws(spec, n, rng, lab):
+    """Reference draws: noise scaled and shifted by whole gathered arrays."""
+    noise = rng.standard_normal((n, spec.p))
+    return spec.means[lab - 1] + np.sqrt(spec.variances[lab - 1]) * noise
+
+
+def labels_min_size_two(spec, n, rng):
+    """Reference rejection sampler: redraw until every cluster has 2."""
+    while True:
+        lab = rng.choice(spec.k0, size=n, p=spec.weights).astype(np.int64) + 1
+        if np.bincount(lab, minlength=spec.k0 + 1)[1:].min() >= 2:
+            return lab
 
 
 class TestGenMixture:
@@ -71,6 +102,16 @@ class TestGenMixture:
         expected = spec.means[lab - 1] + np.sqrt(spec.variances[lab - 1]) * noise
         np.testing.assert_array_equal(truth.labels, lab)
         assert np.array_equal(fm.values, expected)
+
+    @pytest.mark.parametrize("n, p", [(400, 2000), (60, 20000)])
+    def test_holds_one_array(self, n, p):
+        # the scale and shift are gathered a block of rows at a time; whole
+        # gathered arrays peaked at 2.01 X and 2.05 X, the blocks at 1.13 X
+        # and 1.18 X (FeatureMatrix's finiteness mask is another X / 8)
+        spec = three_cluster_spec(p, seed=4)
+        gen_mixture(spec, n)  # warm-up, out of the traced peak
+        peak = traced_peak(lambda: gen_mixture(spec, n))
+        assert peak / (n * p * 8) < 1.3
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -210,6 +251,56 @@ class TestExpectationCheck:
         assert report.max_dev_aug < 4.0
         assert report.max_dev_gram < 4.0
         assert min(report.cluster_sizes) >= 2
+
+
+class TestHarnessOracle:
+    """Both harnesses against a reference loop that calls expected_rows
+    every replicate and draws with whole gathered arrays: the hoisted
+    expectations and the blocked draws must give the same bits."""
+
+    n = 12
+
+    @pytest.mark.parametrize("p", [250, 4000])
+    def test_empirical_concentration(self, p):
+        spec = three_cluster_spec(p, seed=71)
+        reps = 30
+        sq, row_sq = np.empty(reps), np.empty((reps, self.n))
+        for r, rng in enumerate(replicate_streams(np.random.SeedSequence(spec.seed), reps)):
+            lab = labels_min_size_two(spec, self.n, rng)
+            x = gather_draws(spec, self.n, rng, lab)
+            aug = cluster_augment_values(gram_values(x), lab)
+            diff = aug - expected_rows(spec, ClusterAssignment(lab, spec.k0)).row_means
+            row_sq[r] = (diff * diff).sum(axis=1)
+            sq[r] = row_sq[r].sum()
+        point = empirical_concentration(spec, self.n, reps)
+        assert point.mse_mean == float(sq.mean())
+        assert point.mse_se == float(sq.std(ddof=1) / math.sqrt(reps))
+        assert point.row_mse_max == float(row_sq.mean(axis=0).max())
+
+    @pytest.mark.parametrize("p", [250, 4000])
+    def test_expectation_check(self, p):
+        spec = three_cluster_spec(p, seed=72)
+        reps = 100
+        label_seq, rep_root = np.random.SeedSequence(spec.seed).spawn(2)
+        lab = labels_min_size_two(spec, self.n, stream(label_seq))
+        expectations = expected_rows(spec, ClusterAssignment(lab, spec.k0))
+        grams = np.array([
+            gram_values(gather_draws(spec, self.n, rng, lab))
+            for rng in replicate_streams(rep_root, reps)
+        ])
+        augs = np.array([cluster_augment_values(g, lab) for g in grams])
+
+        def max_std_dev(samples, expected):
+            # every entry is random here, so no standard error is 0
+            se = samples.std(axis=0, ddof=1) / math.sqrt(reps)
+            return float((np.abs(samples.mean(axis=0) - expected) / se).max())
+
+        off = ~np.eye(self.n, dtype=bool)
+        report = expectation_check(spec, self.n, reps)
+        assert report.max_dev_aug == max_std_dev(augs, expectations.row_means)
+        assert report.max_dev_gram == max_std_dev(
+            grams[:, off], expectations.pairwise[np.ix_(lab - 1, lab - 1)][off]
+        )
 
 
 class TestSimulationPlan:
