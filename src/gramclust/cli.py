@@ -120,6 +120,11 @@ def _dump_json(path: str, payload: dict) -> None:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _write_csv(path: str, header: list, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+
+
 def _print_warning(message, *_args, **_kwargs) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
@@ -139,19 +144,10 @@ def cmd_cluster(input_path: str, config: argparse.Namespace) -> int:
         )
 
     os.makedirs(config.output_dir, exist_ok=True)
-    assign_path = os.path.join(config.output_dir, "assignments.csv")
-    with open(assign_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["object_id", "label"])
-        for i, lab in enumerate(out.labels.labels, start=1):
-            writer.writerow([i, int(lab)])
-
-    trace_path = os.path.join(config.output_dir, "bic_trace.csv")
-    with open(trace_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "bic"])
-        for fit in out.fits:
-            writer.writerow([fit.k, repr(fit.bic) if math.isfinite(fit.bic) else ""])
+    _write_csv(os.path.join(config.output_dir, "assignments.csv"), ["object_id", "label"],
+               [[i, int(lab)] for i, lab in enumerate(out.labels.labels, start=1)])
+    _write_csv(os.path.join(config.output_dir, "bic_trace.csv"), ["k", "bic"],
+               [[fit.k, repr(fit.bic) if math.isfinite(fit.bic) else ""] for fit in out.fits])
 
     ami_truth = None
     if parsed.truth_labels is not None:
@@ -189,7 +185,8 @@ def cmd_cluster(input_path: str, config: argparse.Namespace) -> int:
 def _read_assignment_csv(path: str, delimiter: str = ",") -> dict:
     """object id -> label. The first row is a header when it reads
     object_id,label (as ``cluster`` writes it), or when its id is the only
-    id in the file that is not a number, or its label the only such label."""
+    id in the file that is not a number, or its label the only such label.
+    A header with no row below it raises DataError at its line."""
     with open(path, newline="", encoding=CSV_ENCODING) as fh:
         rows = [(lineno, [field.strip() for field in row])
                 for lineno, row in _csv_rows(fh, delimiter)]
@@ -202,6 +199,8 @@ def _read_assignment_csv(path: str, delimiter: str = ",") -> dict:
     header = [field.lower() for field in rows[0][1]] == ["object_id", "label"] or any(
         not column[0] and all(column[1:]) for column in numeric
     )
+    if header and len(rows) == 1:
+        raise DataError("no data rows", line=rows[0][0])
     mapping = {}
     for lineno, row in rows[int(header):]:
         if len(row) < 2:
@@ -250,12 +249,8 @@ def cmd_simulate(plan_path: str, config: argparse.Namespace) -> int:
     exp_check = expectation_check(build_spec(plan, min(plan.p_grid)), plan.n, max(plan.reps, 100))
 
     os.makedirs(config.output_dir, exist_ok=True)
-    csv_path = os.path.join(config.output_dir, "concentration.csv")
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["p", "mse_mean", "bound_sq"])
-        for pt in report.points:
-            writer.writerow([pt.p, repr(pt.mse_mean), repr(pt.bound_sq)])
+    _write_csv(os.path.join(config.output_dir, "concentration.csv"), ["p", "mse_mean", "bound_sq"],
+               [[pt.p, repr(pt.mse_mean), repr(pt.bound_sq)] for pt in report.points])
 
     payload = {
         "version": __version__,

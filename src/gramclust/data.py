@@ -30,20 +30,20 @@ def _block_width(n: int) -> int:
     return max(1, _BLOCK_DOUBLES // n)
 
 
-def _frozen(values) -> np.ndarray:
-    """``values`` as a read-only, C-contiguous float64 array.
+def _frozen(values, dtype=np.float64) -> np.ndarray:
+    """``values`` as a read-only, C-contiguous array of ``dtype``.
 
     An ndarray that already is one is adopted as is when it owns its data,
     or when it is a view that starts at the first byte of a read-only
     array that does (the CSV reader hands over the leading rows of its
     compacted buffer); a writable array, any other view, another dtype or
     a list is copied. The copy is what keeps a caller's later writes out
-    of the matrix types, so only an owner that has frozen its array hands
+    of the value types, so only an owner that has frozen its array hands
     it over without one.
     """
     if (
         type(values) is np.ndarray
-        and values.dtype == np.float64
+        and values.dtype == dtype
         and values.flags.c_contiguous
         and not values.flags.writeable
     ):
@@ -57,7 +57,7 @@ def _frozen(values) -> np.ndarray:
             and base.ctypes.data == values.ctypes.data
         ):
             return values
-    a = np.array(values, dtype=np.float64, order="C")
+    a = np.array(values, dtype=dtype, order="C")
     a.setflags(write=False)
     return a
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _frozen
 from .errors import KOutOfRangeError
 
 # Relative slack for the monotone-merge-cost invariant (Ward is reducible,
@@ -41,14 +42,13 @@ class ClusterAssignment:
     k: int
 
     def __post_init__(self):
-        a = np.asarray(self.labels, dtype=np.int64).copy()
+        a = _frozen(self.labels, dtype=np.int64)
         if a.ndim != 1:
             raise ValueError("labels must be a 1-D vector")
         if self.k < 1:
             raise ValueError("k must be positive")
         if a.size and (a.min() < 1 or a.max() > self.k):
             raise ValueError(f"labels must lie in [1, {self.k}]")
-        a.setflags(write=False)
         object.__setattr__(self, "labels", a)
 
     @classmethod
@@ -74,7 +74,7 @@ class Dendrogram:
     n_points: int
 
     def __post_init__(self):
-        m = np.asarray(self.merges, dtype=np.float64).reshape(-1, 4).copy()
+        m = _frozen(self.merges).reshape(-1, 4)
         if m.shape[0] != self.n_points - 1:
             raise ValueError("a full tree over n points has n-1 merges")
         costs = m[:, 2]
@@ -83,7 +83,6 @@ class Dendrogram:
         tol = _MONOTONE_RTOL * np.maximum(1.0, np.abs(costs[:-1]))
         if (costs[1:] < costs[:-1] - tol).any():
             raise ValueError("merge costs are not nondecreasing")
-        m.setflags(write=False)
         object.__setattr__(self, "merges", m)
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _frozen
 from .errors import LengthMismatchError
 from .hierarchy import ClusterAssignment
 
@@ -33,7 +34,7 @@ class ContingencyTable:
     n: int
 
     def __post_init__(self):
-        c = np.asarray(self.counts, dtype=np.int64).copy()
+        c = _frozen(self.counts, dtype=np.int64)
         if c.ndim != 2:
             raise ValueError("counts must be 2-D")
         if c.min() < 0:
@@ -42,7 +43,6 @@ class ContingencyTable:
             raise ValueError("counts must sum to n")
         if (c.sum(axis=1) == 0).any() or (c.sum(axis=0) == 0).any():
             raise ValueError("marginals must be positive (drop empty clusters)")
-        c.setflags(write=False)
         object.__setattr__(self, "counts", c)
 
     def row_marginals(self) -> np.ndarray:

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import GramMatrix
+from .data import GramMatrix, _frozen
 from .errors import EmptyClusterError
 from .hierarchy import ClusterAssignment
 from .transform import AugmentedGram, augment_with_clusters
@@ -53,9 +53,7 @@ class MixtureParams:
     covariances: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64).copy()
-        mu = np.asarray(self.means, dtype=np.float64).copy()
-        cov = np.asarray(self.covariances, dtype=np.float64).copy()
+        w, mu, cov = map(_frozen, (self.weights, self.means, self.covariances))
         k, d = mu.shape
         if w.shape != (k,):
             raise ValueError("weights must be a K-vector")
@@ -66,7 +64,6 @@ class MixtureParams:
         if np.min(cov) < VARIANCE_FLOOR:
             raise ValueError("diagonal variance below the floor")
         for name, arr in (("weights", w), ("means", mu), ("covariances", cov)):
-            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     @property

@@ -18,9 +18,9 @@ from typing import Optional
 
 import numpy as np
 
-from .data import FeatureMatrix, gram_values
+from .data import FeatureMatrix, _frozen, gram_values
 from .hierarchy import ClusterAssignment
-from .transform import _expectation_table, _laid_out, cluster_augment_values, expected_rows
+from .transform import _expectation_table, _laid_out, cluster_augment_values
 
 _REJECTION_CAP = 10_000
 # Doubles in one gathered block of gen_mixture's scales or shifts.
@@ -43,9 +43,8 @@ class MixtureSpec:
     seed: int = 0
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64).copy()
-        mu = np.atleast_2d(np.asarray(self.means, dtype=np.float64)).copy()
-        var = np.atleast_2d(np.asarray(self.variances, dtype=np.float64)).copy()
+        w = _frozen(self.weights)
+        mu, var = (np.atleast_2d(_frozen(a)) for a in (self.means, self.variances))
         if self.k0 < 1:
             raise ValueError("k0 must be positive")
         for name, arr in (("weights", w), ("means", mu), ("variances", var)):
@@ -60,7 +59,6 @@ class MixtureSpec:
         if var.min() < 0:
             raise ValueError("variances must be nonnegative")
         for name, arr in (("weights", w), ("means", mu), ("variances", var)):
-            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     @property
@@ -191,6 +189,22 @@ def row_deviation_bound(b: BoundInputs) -> float:
     return _row_bracket(b) / b.p**2
 
 
+def _replicate(spec: MixtureSpec, n: int, rng: np.random.Generator, lab) -> np.ndarray:
+    """One replicate of the harnesses: a draw under ``lab``, its Gram
+    matrix and the cluster-aware matrix of that, N x (N+1)."""
+    fm, _ = gen_mixture(spec, n, rng=rng, labels=lab)
+    return cluster_augment_values(gram_values(fm.values), lab)
+
+
+def _max_std_dev(samples: np.ndarray, expected: np.ndarray) -> float:
+    """Largest |Monte-Carlo mean - expected| over the entries, in standard
+    errors; an entry with no spread counts 0 when it is exact, else inf."""
+    se = samples.std(axis=0, ddof=1) / math.sqrt(samples.shape[0])
+    diff = np.abs(samples.mean(axis=0) - expected)
+    dev = np.divide(diff, se, out=np.where(diff == 0, 0.0, np.inf), where=se > 0)
+    return float(dev.max())
+
+
 @dataclass(frozen=True)
 class ConcentrationPoint:
     """Monte-Carlo summary of the squared matrix deviation at one P."""
@@ -224,18 +238,12 @@ def empirical_concentration(
     # The spec-only terms of expected_rows, once; a replicate's expected
     # rows are then one gather against its assignment.
     table = _expectation_table(spec.means, spec.variances)
-    sq = np.empty(reps)
     row_sq = np.empty((reps, n))
     for r in range(reps):
-        rng = rngs[r]
-        lab = _draw_labels_min_size(spec, n, rng, 2)
-        fm, _ = gen_mixture(spec, n, rng=rng, labels=lab)
-        gv = gram_values(fm.values)
-        aug = cluster_augment_values(gv, lab)
-        diff = aug - _laid_out(table, lab - 1, lab)
-        per_row = (diff * diff).sum(axis=1)
-        row_sq[r] = per_row
-        sq[r] = per_row.sum()
+        lab = _draw_labels_min_size(spec, n, rngs[r], 2)
+        diff = _replicate(spec, n, rngs[r], lab) - _laid_out(table, lab - 1, lab)
+        row_sq[r] = (diff * diff).sum(axis=1)
+    sq = row_sq.sum(axis=1)
     b = BoundInputs.from_spec(spec, n)
     return ConcentrationPoint(
         p=spec.p,
@@ -272,45 +280,30 @@ class ExpectationReport:
 def expectation_check(spec: MixtureSpec, n: int, reps: int) -> ExpectationReport:
     """Compare Monte-Carlo means of the cluster-aware matrix (fixed true
     assignment) and of the off-diagonal Gram entries against their
-    predicted expectations."""
+    predicted expectations. Off slot (i,i), the first N columns of the
+    cluster-aware matrix are the Gram matrix and the expected rows their
+    expectations, so each replicate is held once, in one store, and only
+    the off-slot gather outlives it."""
     if reps < 100:
         raise ValueError("need reps >= 100")
-    root = np.random.SeedSequence(spec.seed)
-    label_seq, rep_root = root.spawn(2)
+    label_seq, rep_root = np.random.SeedSequence(spec.seed).spawn(2)
     lab = _draw_labels_min_size(spec, n, stream(label_seq), 2)
-    truth = ClusterAssignment(lab, spec.k0)
-    expectations = expected_rows(spec, truth)
-    rngs = replicate_streams(rep_root, reps)
+    expected = _laid_out(_expectation_table(spec.means, spec.variances), lab - 1, lab)
 
-    aug_acc = np.zeros((reps, n, n + 1))
-    gram_acc = np.zeros((reps, n, n))
-    for r in range(reps):
-        fm, _ = gen_mixture(spec, n, rng=rngs[r], labels=lab)
-        gv = gram_values(fm.values)
-        gram_acc[r] = gv
-        aug_acc[r] = cluster_augment_values(gv, lab)
-
-    def _max_std_dev(samples: np.ndarray, expected: np.ndarray) -> float:
-        mean = samples.mean(axis=0)
-        se = samples.std(axis=0, ddof=1) / math.sqrt(samples.shape[0])
-        diff = np.abs(mean - expected)
-        dev = np.where(
-            se > 0,
-            diff / np.where(se > 0, se, 1.0),
-            np.where(diff == 0, 0.0, np.inf),
-        )
-        return float(dev.max())
-
+    aug = np.empty((reps, n, n + 1))
+    for r, rng in enumerate(replicate_streams(rep_root, reps)):
+        aug[r] = _replicate(spec, n, rng, lab)
+    max_dev_aug = _max_std_dev(aug, expected)
     off = ~np.eye(n, dtype=bool)
-    expected_gram = expectations.pairwise[np.ix_(lab - 1, lab - 1)]
-    sizes = tuple(int(s) for s in np.bincount(lab, minlength=spec.k0 + 1)[1:])
+    gram = aug[:, :, :n][:, off]
+    del aug
     return ExpectationReport(
         n=n,
         p=spec.p,
         reps=reps,
-        max_dev_aug=_max_std_dev(aug_acc, expectations.row_means),
-        max_dev_gram=_max_std_dev(gram_acc[:, off], expected_gram[off]),
-        cluster_sizes=sizes,
+        max_dev_aug=max_dev_aug,
+        max_dev_gram=_max_std_dev(gram, expected[:, :n][off]),
+        cluster_sizes=tuple(int(s) for s in np.bincount(lab, minlength=spec.k0 + 1)[1:]),
     )
 
 

@@ -132,9 +132,7 @@ class RowExpectations:
 
     def __post_init__(self):
         for name in ("row_means", "pairwise", "diagonal", "cluster_rows"):
-            a = np.asarray(getattr(self, name), dtype=np.float64).copy()
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
         if np.max(np.abs(self.pairwise - self.pairwise.T)) > 0:
             raise ValueError("pairwise expectations must be symmetric")
 

@@ -396,6 +396,17 @@ class TestEval:
         assert main(["eval", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]) == 1
         assert capsys.readouterr().err.strip() == f"error: {error}"
 
+    @pytest.mark.parametrize("text, line", [
+        ("object_id,label\n", 1),
+        ("\n\nname,cluster\n\n", 3),
+        ("1,a\n", 1),
+    ], ids=["object_id_label", "after_blank_lines", "one_row_read_as_header"])
+    def test_header_without_rows_exit_1(self, tmp_path, capsys, text, line):
+        # the reader says so, before an empty assignment reaches the scorer
+        (tmp_path / "a.csv").write_text(text)
+        assert main(["eval", str(tmp_path / "a.csv"), str(tmp_path / "a.csv")]) == 1
+        assert capsys.readouterr().err == f"error: line {line}: no data rows\n"
+
     def test_bom_ids_match_plain_ids(self, tmp_path, capsys):
         (tmp_path / "a.csv").write_bytes(b"\xef\xbb\xbf1,1\n2,1\n3,2\n4,2\n")
         (tmp_path / "b.csv").write_text("1,1\n2,1\n3,2\n4,2\n")

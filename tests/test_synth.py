@@ -252,6 +252,15 @@ class TestExpectationCheck:
         assert report.max_dev_gram < 4.0
         assert min(report.cluster_sizes) >= 2
 
+    def test_holds_replicates_once(self):
+        # peak as a multiple of the replicates' N x (N+1) matrices: a
+        # separate store of their Gram matrices peaked at 4.01, one store
+        # and then its off-slot gather at 2.02 (std's temporary is a store)
+        spec, n, reps = three_cluster_spec(250, seed=5), 60, 200
+        expectation_check(spec, n, reps)  # warm-up, out of the traced peak
+        peak = traced_peak(lambda: expectation_check(spec, n, reps))
+        assert peak / (reps * n * (n + 1) * 8) < 2.5
+
 
 class TestHarnessOracle:
     """Both harnesses against a reference loop that calls expected_rows
