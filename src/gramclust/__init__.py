@@ -10,7 +10,7 @@ from .data import (
     standardize_columns,
 )
 from .hierarchy import ClusterAssignment, Dendrogram, cut_tree
-from .metrics import ContingencyTable, ami, contingency, expected_mutual_info
+from .metrics import ami, contingency, expected_mutual_info
 from .mixture import (
     FitResult,
     MixtureParams,
@@ -22,20 +22,16 @@ from .select import ClusterOutput, cluster_features
 from .synth import (
     BoundInputs,
     MixtureSpec,
+    RowExpectations,
     SimulationPlan,
     deviation_bound,
     empirical_concentration,
     expectation_check,
-    gen_mixture,
-)
-from .transform import (
-    AugmentedGram,
-    RowExpectations,
-    augment,
-    augment_with_clusters,
     expected_rows,
+    gen_mixture,
     separability_diagnostic,
 )
+from .transform import AugmentedGram, augment, augment_with_clusters
 
 __version__ = "0.1.0"
 
@@ -49,7 +45,6 @@ __all__ = [
     "ClusterAssignment",
     "Dendrogram",
     "cut_tree",
-    "ContingencyTable",
     "ami",
     "contingency",
     "expected_mutual_info",
@@ -62,16 +57,16 @@ __all__ = [
     "cluster_features",
     "BoundInputs",
     "MixtureSpec",
+    "RowExpectations",
     "SimulationPlan",
     "deviation_bound",
     "empirical_concentration",
     "expectation_check",
+    "expected_rows",
     "gen_mixture",
+    "separability_diagnostic",
     "AugmentedGram",
-    "RowExpectations",
     "augment",
     "augment_with_clusters",
-    "expected_rows",
-    "separability_diagnostic",
     "__version__",
 ]

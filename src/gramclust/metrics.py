@@ -10,11 +10,9 @@ symmetric and invariant to relabeling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _frozen
 from .errors import LengthMismatchError
 from .hierarchy import ClusterAssignment
 
@@ -26,40 +24,15 @@ NORM_MAX = "max"
 _DEGENERATE_DENOM = 1e-15
 
 
-@dataclass(frozen=True)
-class ContingencyTable:
-    """R x C joint counts of two labelings over the same n objects."""
-
-    counts: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        c = _frozen(self.counts, dtype=np.int64)
-        if c.ndim != 2:
-            raise ValueError("counts must be 2-D")
-        if c.min() < 0:
-            raise ValueError("counts must be nonnegative")
-        if int(c.sum()) != self.n:
-            raise ValueError("counts must sum to n")
-        if (c.sum(axis=1) == 0).any() or (c.sum(axis=0) == 0).any():
-            raise ValueError("marginals must be positive (drop empty clusters)")
-        object.__setattr__(self, "counts", c)
-
-    def row_marginals(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
-
-    def col_marginals(self) -> np.ndarray:
-        return self.counts.sum(axis=0)
-
-
 def _coerce(labels) -> ClusterAssignment:
     if isinstance(labels, ClusterAssignment):
         labels = labels.labels
     return ClusterAssignment.from_raw(labels)
 
 
-def contingency(u, v) -> ContingencyTable:
-    """Joint counts over canonicalized labels."""
+def contingency(u, v) -> np.ndarray:
+    """Joint counts over canonicalized labels: a read-only (R, C) int64
+    matrix with no empty row or column, whose counts sum to N."""
     ua, va = _coerce(u), _coerce(v)
     if ua.n_objects != va.n_objects:
         raise LengthMismatchError(
@@ -67,7 +40,8 @@ def contingency(u, v) -> ContingencyTable:
         )
     counts = np.zeros((ua.k, va.k), dtype=np.int64)
     np.add.at(counts, (ua.labels - 1, va.labels - 1), 1)
-    return ContingencyTable(counts=counts, n=ua.n_objects)
+    counts.setflags(write=False)
+    return counts
 
 
 def _entropy_sorted(counts: np.ndarray, n: int) -> float:
@@ -121,15 +95,17 @@ def ami(u, v, normalization: str = NORM_MEAN) -> float:
     """
     if normalization not in (NORM_MEAN, NORM_MAX):
         raise ValueError(f"unknown normalization {normalization!r}")
-    table = contingency(u, v)
-    if table.n < 2:
+    counts = contingency(u, v)
+    n = int(counts.sum())
+    if n < 2:
         raise ValueError("need at least 2 objects")
+    rows, cols = counts.sum(axis=1), counts.sum(axis=0)
     # Entropies over sorted counts make MI(u, u) equal H(u) bit-exactly,
     # hence ami(u, u) == 1.0 exactly.
-    hu = _entropy_sorted(table.row_marginals(), table.n)
-    hv = _entropy_sorted(table.col_marginals(), table.n)
-    mi = (hu + hv) - _entropy_sorted(table.counts, table.n)
-    emi = expected_mutual_info(table.row_marginals(), table.col_marginals(), table.n)
+    hu = _entropy_sorted(rows, n)
+    hv = _entropy_sorted(cols, n)
+    mi = (hu + hv) - _entropy_sorted(counts, n)
+    emi = expected_mutual_info(rows, cols, n)
     if normalization == NORM_MEAN:
         denom = (hu + hv) / 2.0 - emi
     else:
@@ -137,6 +113,6 @@ def ami(u, v, normalization: str = NORM_MEAN) -> float:
     if abs(denom) < _DEGENERATE_DENOM:
         # Identical canonical partitions, and only they, give a square
         # table with no count off the diagonal.
-        same = np.array_equal(table.counts, np.diag(np.diag(table.counts)))
+        same = np.array_equal(counts, np.diag(np.diag(counts)))
         return 1.0 if same else 0.0
     return (mi - emi) / denom

@@ -1,5 +1,6 @@
-"""Synthetic mixtures with known truth, closed-form deviation bounds, and
-the Monte-Carlo harnesses that verify them.
+"""Synthetic mixtures with known truth, their expected cluster-aware rows,
+closed-form deviation bounds, and the Monte-Carlo harnesses that verify
+them.
 
 The generator draws cluster labels from the mixing weights and then
 conditionally independent Gaussian features per coordinate. The deviation
@@ -19,8 +20,9 @@ from typing import Optional
 import numpy as np
 
 from .data import FeatureMatrix, _frozen, gram_values
+from .errors import DimensionMismatchError, SingleClusterError
 from .hierarchy import ClusterAssignment
-from .transform import _expectation_table, _laid_out, cluster_augment_values
+from .transform import cluster_augment_values
 
 _REJECTION_CAP = 10_000
 # Doubles in one gathered block of gen_mixture's scales or shifts.
@@ -187,6 +189,95 @@ def deviation_bound(b: BoundInputs) -> float:
 def row_deviation_bound(b: BoundInputs) -> float:
     """Bound on the expected squared deviation of a single row."""
     return _row_bracket(b) / b.p**2
+
+
+@dataclass(frozen=True)
+class RowExpectations:
+    """Expected value of the cluster-aware matrix under a generator.
+
+    pairwise[a,b] is the expected Gram entry for objects from clusters a
+    and b (mean_a . mean_b / P, including a == b); diagonal[a] adds the
+    average variance (the same-object expectation). cluster_rows[a] is the
+    full (N+1)-vector a cluster-a row converges to; row_means[i] is
+    cluster_rows[labels[i]].
+    """
+
+    row_means: np.ndarray
+    pairwise: np.ndarray
+    diagonal: np.ndarray
+    cluster_rows: np.ndarray
+
+    def __post_init__(self):
+        for name in ("row_means", "pairwise", "diagonal", "cluster_rows"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
+        if np.max(np.abs(self.pairwise - self.pairwise.T)) > 0:
+            raise ValueError("pairwise expectations must be symmetric")
+
+    @property
+    def k0(self) -> int:
+        return self.pairwise.shape[0]
+
+
+def expected_rows(spec: MixtureSpec, labels: ClusterAssignment) -> RowExpectations:
+    """Expected cluster-aware matrix for a known mixture and assignment."""
+    k0, lab = spec.k0, labels.labels
+    if lab.max() > k0:
+        raise DimensionMismatchError("assignment uses a cluster the spec lacks")
+    table = _expectation_table(spec.means, spec.variances)
+    return RowExpectations(
+        row_means=_laid_out(table, lab - 1, lab),
+        pairwise=table[:, :k0],
+        diagonal=table[:, k0],
+        cluster_rows=_laid_out(table, np.arange(k0), lab),
+    )
+
+
+def _expectation_table(mu: np.ndarray, var: np.ndarray) -> np.ndarray:
+    """K0 x (K0+1): the pairwise expectations mu_a . mu_b / P, closed by
+    the diagonal column (pairwise[a, a] plus the average variance)."""
+    p = mu.shape[1]
+    pairwise = mu @ mu.T / p
+    diagonal = np.diag(pairwise) + var.sum(axis=1) / p
+    return np.column_stack([pairwise, diagonal])
+
+
+def _laid_out(table: np.ndarray, clusters: np.ndarray, lab: np.ndarray) -> np.ndarray:
+    """Expected rows for clusters ``clusters`` (0-based), one gather: row
+    a lays table[a, label_j] against the assignment and closes with the
+    diagonal column. The j == i slot of an object's own row carries
+    pairwise[a, a], matching the same-cluster column average in the
+    transform."""
+    return table[np.ix_(clusters, np.append(lab - 1, table.shape[0]))]
+
+
+@dataclass(frozen=True)
+class SeparabilityReport:
+    """Smallest Euclidean gap between expected cluster rows."""
+
+    min_gap: float
+    pair: tuple
+
+
+def separability_diagnostic(expectations: RowExpectations) -> SeparabilityReport:
+    """Min over cluster pairs of the expected-row gap.
+
+    Purely diagnostic: identifiability requires the gap to stay bounded
+    away from zero, but no numeric threshold is mandated.
+    """
+    k0 = expectations.k0
+    if k0 < 2:
+        raise SingleClusterError("separability needs at least two clusters")
+    best = None
+    pair = None
+    for a in range(k0):
+        for b in range(a + 1, k0):
+            gap = float(np.linalg.norm(
+                expectations.cluster_rows[a] - expectations.cluster_rows[b]
+            ))
+            if best is None or gap < best:
+                best = gap
+                pair = (a + 1, b + 1)
+    return SeparabilityReport(min_gap=best, pair=pair)
 
 
 def _replicate(spec: MixtureSpec, n: int, rng: np.random.Generator, lab) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Augmented forms of the Gram matrix and their expected structure.
+"""Augmented forms of the Gram matrix.
 
 G's diagonal is appended as an extra column and each vacated slot (i,i) is
 filled with the average of column i over the other members of object i's
@@ -11,16 +11,12 @@ partition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .data import GramMatrix, _frozen
-from .errors import DimensionMismatchError, SingleClusterError
+from .errors import DimensionMismatchError
 from .hierarchy import ClusterAssignment
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .synth import MixtureSpec
 
 
 @dataclass(frozen=True)
@@ -112,100 +108,3 @@ def augment(g: GramMatrix) -> AugmentedGram:
     return augment_with_clusters(
         g, ClusterAssignment(np.ones(g.n_objects, dtype=np.int64), 1)
     )
-
-
-@dataclass(frozen=True)
-class RowExpectations:
-    """Expected value of the cluster-aware matrix under a generator.
-
-    pairwise[a,b] is the expected Gram entry for objects from clusters a
-    and b (mean_a . mean_b / P, including a == b); diagonal[a] adds the
-    average variance (the same-object expectation). cluster_rows[a] is the
-    full (N+1)-vector a cluster-a row converges to; row_means[i] is
-    cluster_rows[labels[i]].
-    """
-
-    row_means: np.ndarray
-    pairwise: np.ndarray
-    diagonal: np.ndarray
-    cluster_rows: np.ndarray
-
-    def __post_init__(self):
-        for name in ("row_means", "pairwise", "diagonal", "cluster_rows"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
-        if np.max(np.abs(self.pairwise - self.pairwise.T)) > 0:
-            raise ValueError("pairwise expectations must be symmetric")
-
-    @property
-    def k0(self) -> int:
-        return self.pairwise.shape[0]
-
-
-def expected_rows(spec: "MixtureSpec", labels: ClusterAssignment) -> RowExpectations:
-    """Expected cluster-aware matrix for a known mixture and assignment."""
-    mu = np.asarray(spec.means, dtype=np.float64)
-    var = np.asarray(spec.variances, dtype=np.float64)
-    if mu.shape != var.shape:
-        raise DimensionMismatchError(
-            f"means shape {mu.shape} != variances shape {var.shape}"
-        )
-    k0 = mu.shape[0]
-    lab = labels.labels
-    if lab.max() > k0:
-        raise DimensionMismatchError("assignment uses a cluster the spec lacks")
-
-    table = _expectation_table(mu, var)
-    return RowExpectations(
-        row_means=_laid_out(table, lab - 1, lab),
-        pairwise=table[:, :k0],
-        diagonal=table[:, k0],
-        cluster_rows=_laid_out(table, np.arange(k0), lab),
-    )
-
-
-def _expectation_table(mu: np.ndarray, var: np.ndarray) -> np.ndarray:
-    """K0 x (K0+1): the pairwise expectations mu_a . mu_b / P, closed by
-    the diagonal column (pairwise[a, a] plus the average variance)."""
-    p = mu.shape[1]
-    pairwise = mu @ mu.T / p
-    diagonal = np.diag(pairwise) + var.sum(axis=1) / p
-    return np.column_stack([pairwise, diagonal])
-
-
-def _laid_out(table: np.ndarray, clusters: np.ndarray, lab: np.ndarray) -> np.ndarray:
-    """Expected rows for clusters ``clusters`` (0-based), one gather: row
-    a lays table[a, label_j] against the assignment and closes with the
-    diagonal column. The j == i slot of an object's own row carries
-    pairwise[a, a], matching the same-cluster column average in the
-    transform."""
-    return table[np.ix_(clusters, np.append(lab - 1, table.shape[0]))]
-
-
-@dataclass(frozen=True)
-class SeparabilityReport:
-    """Smallest Euclidean gap between expected cluster rows."""
-
-    min_gap: float
-    pair: tuple
-
-
-def separability_diagnostic(expectations: RowExpectations) -> SeparabilityReport:
-    """Min over cluster pairs of the expected-row gap.
-
-    Purely diagnostic: identifiability requires the gap to stay bounded
-    away from zero, but no numeric threshold is mandated.
-    """
-    k0 = expectations.k0
-    if k0 < 2:
-        raise SingleClusterError("separability needs at least two clusters")
-    best = None
-    pair = None
-    for a in range(k0):
-        for b in range(a + 1, k0):
-            gap = float(np.linalg.norm(
-                expectations.cluster_rows[a] - expectations.cluster_rows[b]
-            ))
-            if best is None or gap < best:
-                best = gap
-                pair = (a + 1, b + 1)
-    return SeparabilityReport(min_gap=best, pair=pair)

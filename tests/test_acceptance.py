@@ -187,7 +187,7 @@ def test_c6_ami_oracle():
         parts = list(all_partitions(n))
         for u, v in itertools.product(parts, parts):
             t = gc.contingency(u, v)
-            exact = gc.expected_mutual_info(t.row_marginals(), t.col_marginals(), n)
+            exact = gc.expected_mutual_info(t.sum(axis=1), t.sum(axis=0), n)
             assert abs(exact - emi_bruteforce(u, v)) < 1e-10
 
     rng = np.random.default_rng(6283)
@@ -196,7 +196,7 @@ def test_c6_ami_oracle():
         u = rng.integers(1, rng.integers(2, n + 1) + 1, size=n)
         v = rng.integers(1, rng.integers(2, n + 1) + 1, size=n)
         t = gc.contingency(u, v)
-        exact = gc.expected_mutual_info(t.row_marginals(), t.col_marginals(), n)
+        exact = gc.expected_mutual_info(t.sum(axis=1), t.sum(axis=0), n)
         assert abs(exact - emi_bruteforce(u, v)) < 1e-10
         assert gc.ami(u, v) == gc.ami(v, u)
         shift = u + 7

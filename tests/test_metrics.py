@@ -71,15 +71,15 @@ def all_partitions(n: int):
 class TestContingency:
     def test_identical(self):
         t = contingency([1, 1, 2, 2], [1, 1, 2, 2])
-        np.testing.assert_array_equal(t.counts, [[2, 0], [0, 2]])
+        np.testing.assert_array_equal(t, [[2, 0], [0, 2]])
 
     def test_one_row(self):
         t = contingency([1, 1, 1, 1], [1, 2, 1, 2])
-        np.testing.assert_array_equal(t.counts, [[2, 2]])
+        np.testing.assert_array_equal(t, [[2, 2]])
 
     def test_mixed(self):
         t = contingency([1, 1, 2, 2], [1, 2, 2, 2])
-        np.testing.assert_array_equal(t.counts, [[1, 1], [0, 2]])
+        np.testing.assert_array_equal(t, [[1, 1], [0, 2]])
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
@@ -94,7 +94,7 @@ class TestExpectedMI:
                 for v in parts:
                     t = contingency(u, v)
                     exact = expected_mutual_info(
-                        t.row_marginals(), t.col_marginals(), n
+                        t.sum(axis=1), t.sum(axis=0), n
                     )
                     assert exact == pytest.approx(
                         emi_bruteforce(u, v), abs=1e-10
@@ -107,7 +107,7 @@ class TestExpectedMI:
             u = rng.integers(1, rng.integers(2, n + 1) + 1, size=n)
             v = rng.integers(1, rng.integers(2, n + 1) + 1, size=n)
             t = contingency(u, v)
-            exact = expected_mutual_info(t.row_marginals(), t.col_marginals(), n)
+            exact = expected_mutual_info(t.sum(axis=1), t.sum(axis=0), n)
             assert exact == pytest.approx(emi_bruteforce(u, v), abs=1e-10)
 
     def test_trivial_partition_gives_zero(self):
@@ -131,7 +131,7 @@ class TestAmi:
         # normalizations
         u, v = [1, 1, 2, 2], [1, 2, 1, 2]
         t = contingency(u, v)
-        emi = expected_mutual_info(t.row_marginals(), t.col_marginals(), 4)
+        emi = expected_mutual_info(t.sum(axis=1), t.sum(axis=0), 4)
         assert emi == pytest.approx(0.23104906018664842, abs=1e-12)
         assert ami(u, v) == pytest.approx(-0.5, abs=1e-12)
         assert ami(u, v, normalization="max") == pytest.approx(-0.5, abs=1e-12)

@@ -347,7 +347,7 @@ class TestSharedMemo:
 def same_partition(u, v) -> bool:
     """Two labelings split the objects the same way: their contingency
     table pairs each cluster of one with exactly one cluster of the other."""
-    counts = contingency(u, v).counts
+    counts = contingency(u, v)
     return counts.shape[0] == counts.shape[1] == np.count_nonzero(counts)
 
 

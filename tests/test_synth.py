@@ -21,9 +21,10 @@ from gramclust import (
 from gramclust.data import gram_values
 from gramclust.hierarchy import ClusterAssignment
 from gramclust.synth import (
-    build_spec, concentration_sweep, replicate_streams, row_deviation_bound, stream,
+    build_spec, concentration_sweep, expected_rows, replicate_streams,
+    row_deviation_bound, stream,
 )
-from gramclust.transform import cluster_augment_values, expected_rows
+from gramclust.transform import cluster_augment_values
 from tests.conftest import (
     MISTYPED_PLAN_EDITS,
     NON_FINITE_PLAN_EDITS,
