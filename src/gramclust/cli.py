@@ -59,7 +59,7 @@ _SETTINGS = {
     # csv and numpy's reader take '"' as the quote and need rows split by lines
     "delimiter": _Setting(",", check=lambda v: len(v) == 1 and v not in '"\n\r',
                           rule="must be a single character other than '\"', \\n or \\r"),
-    "output_dir": _Setting("."),
+    "output_dir": _Setting(".", check=bool, rule="must not be empty"),
 }
 
 # The settings each command takes: the only ones it parses, reads from the

@@ -137,7 +137,8 @@ def _standardized_blocks(a: np.ndarray, log_if_positive: bool, out=None):
     """Yield the standardized columns of ``a``, or of ``log(a)`` when
     ``log_if_positive`` and every value is positive, one column block at a
     time: centred, columns whose sd falls below CONSTANT_SD_TOL dropped,
-    the rest scaled by the sds of the centred values. A column's values
+    the rest scaled by the sds of the centred values. A column whose mean
+    or sd overflows raises NonFiniteInputError. A column's values
     depend on that column alone, so the blocks side by side are the
     standardized matrix. They are written side by side into an N x P
     ``out``, whose first kept columns then hold that matrix; without
@@ -154,8 +155,14 @@ def _standardized_blocks(a: np.ndarray, log_if_positive: bool, out=None):
             np.log(a[:, j : j + b.shape[1]], out=b)
         else:
             b[...] = a[:, j : j + b.shape[1]]
-        b -= b.mean(axis=0)
-        sd = np.sqrt(np.einsum("ij,ij->j", b, b) / (n - 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            b -= b.mean(axis=0)
+            sd = np.sqrt(np.einsum("ij,ij->j", b, b) / (n - 1))
+        bad = ~np.isfinite(sd)
+        if bad.any():
+            raise NonFiniteInputError(
+                f"feature column {j + int(bad.argmax()) + 1} is too large to standardize"
+            )
         keep = sd >= CONSTANT_SD_TOL
         if not keep.all():
             sd = sd[keep]

@@ -478,6 +478,16 @@ class SimulationPlan:
         build_spec(self, max(map(len, self.mean_patterns + self.variance_patterns)))
         if min(self.weights) <= 0:
             raise ValueError("every cluster needs 2 members, so every weight must be > 0")
+        # The bound grows with P; where it overflows, the report would hold
+        # Infinity and NaN, or the sweep would raise OverflowError.
+        p = max(self.p_grid)
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                bound = deviation_bound(BoundInputs.from_spec(build_spec(self, p), self.n))
+            except OverflowError:
+                bound = math.inf
+        if not math.isfinite(bound):
+            raise ValueError(f"numbers too large: the deviation bound at p = {p} overflows")
 
 
 def build_spec(plan: SimulationPlan, p: int) -> MixtureSpec:

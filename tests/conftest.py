@@ -54,6 +54,11 @@ NON_FINITE_PLAN_EDITS = [
     {"mean_patterns": [[float("nan")], [-1.0]]},
     {"variance_patterns": [[float("inf")], [1.0]]},
 ]
+# Edits whose numbers are finite but make the deviation bound overflow.
+OVERFLOW_PLAN_EDITS = [
+    {"mean_patterns": [[1e200], [-1.0]]},
+    {"variance_patterns": [[1e300], [1.0]]},
+]
 UNUSABLE_PLAN_EDITS = [
     # every cluster needs 2 members: n >= 2 * k0 and no zero weight
     {"n": 3}, {"weights": [1.0, 0.0]},

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from gramclust.cli import main
 from tests.conftest import (
     MISTYPED_PLAN_EDITS,
     NON_FINITE_PLAN_EDITS,
+    OVERFLOW_PLAN_EDITS,
     UNUSABLE_PLAN_EDITS,
     simulation_plan,
     two_cluster_spec,
@@ -192,6 +194,19 @@ class TestCluster:
         path.write_text(text)
         assert main(["cluster", str(path), "--output-dir", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == error
+
+    @pytest.mark.parametrize("mode", ["paper", "standardize"])
+    def test_overflowing_column_exit_1(self, tmp_path, capsys, mode):
+        # a column times 1e200 has an infinite sd: it was zeroed, yet
+        # counted in P, and the run exited 0
+        fm, truth = gen_mixture(two_cluster_spec(3.0, 30, seed=5), 20)
+        x = fm.values.copy()
+        x[:, 0] *= 1e200
+        path = tmp_path / "huge.csv"
+        write_feature_csv(path, x, truth.labels)
+        argv = ["cluster", str(path), "--preprocess", mode, "--output-dir", str(tmp_path / "o")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: feature column 1 is too large to standardize\n"
 
     def test_two_objects_all_fits_degenerate_exit_1(self, tmp_path, capsys):
         # every cluster of 2 objects has at most 2 members
@@ -478,6 +493,18 @@ class TestSimulate:
         assert main(["simulate", str(plan_path), "--output-dir", str(tmp_path / "o")]) == 2
         assert "invalid simulation plan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("over", OVERFLOW_PLAN_EDITS)
+    def test_overflowing_plan_exit_2(self, tmp_path, capsys, over):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(simulation_plan(**over)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", str(plan_path), "--output-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: invalid simulation plan: numbers too large: "
+            "the deviation bound at p = 100 overflows\n"
+        )
+
     def test_whole_float_plan_runs(self, tmp_path):
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(json.dumps(simulation_plan(n=6.0, reps=30.0, seed=3.0)))
@@ -548,6 +575,16 @@ class TestSettingsPerCommand:
     def test_read_flags_accepted(self, argv_for, command, flags):
         extra = [arg for f in flags for arg in (f, self.FLAGS[f])]
         assert main([*argv_for[command], *extra]) == 0
+
+    @pytest.mark.parametrize("command", ["cluster", "simulate"])
+    def test_empty_output_dir_exit_2(self, argv_for, monkeypatch, capsys, command):
+        # both commands ran to the end and then exited 1 on open('')
+        argv = argv_for[command][:-2]
+        assert main([*argv, "--output-dir", ""]) == 2
+        assert capsys.readouterr() == ("", "config error: output_dir must not be empty\n")
+        monkeypatch.setenv("GRAMCLUST_OUTPUT_DIR", "")
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "config error: output_dir must not be empty\n")
 
     @pytest.mark.parametrize("var, value", [
         ("GRAMCLUST_KMAX", "0"), ("GRAMCLUST_PREPROCESS", "none"),

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from gramclust import (
     FeatureMatrix, GramMatrix, cluster_features, gram, preprocess_dataset, standardize_columns,
 )
+from gramclust import data
 from gramclust.data import _layout, read_feature_csv, standardized_gram
 from gramclust.errors import AllColumnsConstantError, DataError, NonFiniteInputError
 from tests.conftest import traced_peak
@@ -101,6 +102,17 @@ class TestStandardize:
         with pytest.raises(AllColumnsConstantError):
             standardize_columns(fm)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e307], ids=["sd", "mean"])
+    def test_overflowing_column_named(self, scale):
+        # at 1e200 the squared deviations overflow, at 1e307 the mean does;
+        # either column was zeroed or dropped, and no numpy warning shows
+        x = np.random.default_rng(4).normal(size=(20, 6))
+        x[:, 2] = scale * (1.0 + np.arange(20) / 20.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteInputError, match="^feature column 3 "):
+                standardize_columns(FeatureMatrix(x))
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_output_is_standardized(self, seed):
@@ -173,6 +185,15 @@ class TestGram:
         g = gram(fm).values
         assert g.tobytes() == standardized_gram(fm, log_if_positive=False).values.tobytes()
         assert np.max(np.abs(g - gram(standardize_columns(fm)).values)) < 1e-12
+
+    @pytest.mark.parametrize("log_if_positive", [False, True], ids=["standardize", "paper"])
+    def test_overflowing_column_named(self, monkeypatch, log_if_positive):
+        # blocks of 3 columns at N = 20: column 5 sits in the second block
+        monkeypatch.setattr(data, "_BLOCK_DOUBLES", 60)
+        x = np.random.default_rng(8).normal(size=(20, 7))
+        x[:, 4] *= 1e200
+        with pytest.raises(NonFiniteInputError, match="^feature column 5 "):
+            standardized_gram(FeatureMatrix(x), log_if_positive)
 
     def test_symmetry_enforced(self):
         rng = np.random.default_rng(3)

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from gramclust.transform import cluster_augment_values
 from tests.conftest import (
     MISTYPED_PLAN_EDITS,
     NON_FINITE_PLAN_EDITS,
+    OVERFLOW_PLAN_EDITS,
     UNUSABLE_PLAN_EDITS,
     simulation_plan,
     traced_peak,
@@ -355,6 +357,15 @@ class TestSimulationPlan:
     def test_bad_plan_raises(self, raw):
         with pytest.raises((TypeError, ValueError)):
             SimulationPlan(**raw)
+
+    @pytest.mark.parametrize("over", OVERFLOW_PLAN_EDITS)
+    def test_overflowing_plan_raises(self, over):
+        # the mean plan raised OverflowError from the sweep; the variance
+        # plan ran to a report of Infinity and NaN, with numpy warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="deviation bound at p = 100 overflows"):
+                SimulationPlan(**simulation_plan(**over))
 
     def test_sweep_slope_near_minus_one(self):
         plan = SimulationPlan(
