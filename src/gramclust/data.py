@@ -138,7 +138,8 @@ def _standardized_blocks(a: np.ndarray, log_if_positive: bool, out=None):
     ``log_if_positive`` and every value is positive, one column block at a
     time: centred, columns whose sd falls below CONSTANT_SD_TOL dropped,
     the rest scaled by the sds of the centred values. A column whose mean
-    or sd overflows raises NonFiniteInputError. A column's values
+    or sd overflows raises NonFiniteInputError; callers silence numpy's
+    overflow warnings, so that error is all a user sees. A column's values
     depend on that column alone, so the blocks side by side are the
     standardized matrix. They are written side by side into an N x P
     ``out``, whose first kept columns then hold that matrix; without
@@ -155,9 +156,8 @@ def _standardized_blocks(a: np.ndarray, log_if_positive: bool, out=None):
             np.log(a[:, j : j + b.shape[1]], out=b)
         else:
             b[...] = a[:, j : j + b.shape[1]]
-        with np.errstate(over="ignore", invalid="ignore"):
-            b -= b.mean(axis=0)
-            sd = np.sqrt(np.einsum("ij,ij->j", b, b) / (n - 1))
+        b -= b.mean(axis=0)
+        sd = np.sqrt(np.einsum("ij,ij->j", b, b) / (n - 1))
         bad = ~np.isfinite(sd)
         if bad.any():
             raise NonFiniteInputError(
@@ -180,7 +180,8 @@ def _standardized(x: FeatureMatrix, log_if_positive: bool) -> FeatureMatrix:
     frozen so the FeatureMatrix adopts it; only a constant-column drop
     copies its kept columns."""
     out = np.empty(x.values.shape)
-    kept = sum(b.shape[1] for b in _standardized_blocks(x.values, log_if_positive, out))
+    with np.errstate(over="ignore", invalid="ignore"):
+        kept = sum(b.shape[1] for b in _standardized_blocks(x.values, log_if_positive, out))
     out.setflags(write=False)
     return FeatureMatrix(out if kept == out.shape[1] else out[:, :kept])
 
@@ -213,9 +214,10 @@ def standardized_gram(x: FeatureMatrix, log_if_positive: bool) -> GramMatrix:
     """
     n = x.n_objects
     g, kept = np.zeros((n, n)), 0
-    for b in _standardized_blocks(x.values, log_if_positive):
-        g += b @ b.T
-        kept += b.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b in _standardized_blocks(x.values, log_if_positive):
+            g += b @ b.T
+            kept += b.shape[1]
     g /= kept
     g = (g + g.T) / 2.0
     g.setflags(write=False)
