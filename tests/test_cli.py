@@ -578,7 +578,7 @@ class TestSettingsPerCommand:
 
     @pytest.mark.parametrize("command", ["cluster", "simulate"])
     def test_empty_output_dir_exit_2(self, argv_for, monkeypatch, capsys, command):
-        # both commands ran to the end and then exited 1 on open('')
+        # both commands ran to the end and then exited 1 at os.makedirs('')
         argv = argv_for[command][:-2]
         assert main([*argv, "--output-dir", ""]) == 2
         assert capsys.readouterr() == ("", "config error: output_dir must not be empty\n")
