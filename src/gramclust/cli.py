@@ -132,6 +132,7 @@ def _print_warning(message, *_args, **_kwargs) -> None:
 def cmd_cluster(input_path: str, config: argparse.Namespace) -> int:
     parsed = read_feature_csv(input_path, delimiter=config.delimiter)
     fm = parsed.matrix
+    os.makedirs(config.output_dir, exist_ok=True)
     with warnings.catch_warnings():
         # a library warning (kmax clamped to N) reaches the user as one
         # plain line, without a source location
@@ -143,7 +144,6 @@ def cmd_cluster(input_path: str, config: argparse.Namespace) -> int:
             preprocess=config.preprocess,
         )
 
-    os.makedirs(config.output_dir, exist_ok=True)
     _write_csv(os.path.join(config.output_dir, "assignments.csv"), ["object_id", "label"],
                [[i, int(lab)] for i, lab in enumerate(out.labels.labels, start=1)])
     _write_csv(os.path.join(config.output_dir, "bic_trace.csv"), ["k", "bic"],
@@ -245,10 +245,10 @@ def cmd_simulate(plan_path: str, config: argparse.Namespace) -> int:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid simulation plan: {exc}") from exc
 
+    os.makedirs(config.output_dir, exist_ok=True)
     report = concentration_sweep(plan)
     exp_check = expectation_check(build_spec(plan, min(plan.p_grid)), plan.n, max(plan.reps, 100))
 
-    os.makedirs(config.output_dir, exist_ok=True)
     _write_csv(os.path.join(config.output_dir, "concentration.csv"), ["p", "mse_mean", "bound_sq"],
                [[pt.p, repr(pt.mse_mean), repr(pt.bound_sq)] for pt in report.points])
 

@@ -25,8 +25,6 @@ from .hierarchy import ClusterAssignment
 from .transform import cluster_augment_values
 
 _REJECTION_CAP = 10_000
-# Doubles in one gathered block of gen_mixture's scales or shifts.
-_BLOCK = 2**15
 
 
 @dataclass(frozen=True)
@@ -86,40 +84,36 @@ def gen_mixture(
     labels: Optional[np.ndarray] = None,
 ) -> tuple[FeatureMatrix, ClusterAssignment]:
     """Draw n objects: labels i.i.d. from the weights (unless supplied),
-    then x[i, p] ~ Normal(mean[label, p], variance[label, p])."""
+    then x[i, p] ~ Normal(mean[label, p], variance[label, p]).
+
+    The noise is scaled and shifted one row at a time, in place, so the
+    draw is the only N x P array. That costs two ufunc calls per row:
+    a tiny P with a very large N, outside the P >> N regime, pays Python
+    overhead per row."""
     if n < 2:
         raise ValueError("need n >= 2")
     if rng is None:
         rng = stream(spec.seed)
     if labels is None:
-        lab = rng.choice(spec.k0, size=n, p=spec.weights).astype(np.int64) + 1
+        lab = _draw_labels(spec, n, rng)
     else:
         lab = np.asarray(labels, dtype=np.int64)
         if lab.shape != (n,):
             raise ValueError("labels must have length n")
-    # One buffer: the noise is scaled and shifted in place and then frozen,
-    # so the FeatureMatrix adopts it. Gathering the per-row scales and
-    # shifts for all of x at once would make two more N x P arrays, and a
-    # caller that draws again and again (the harnesses below) would fault
-    # their pages in anew every call. Blocks of rows keep each gathered
-    # temporary at most _BLOCK doubles (but at least one row); each element
-    # still gets the same multiply and then the same add.
     x = rng.standard_normal((n, spec.p))
     sd = np.sqrt(spec.variances)
-    rows = max(1, _BLOCK // spec.p)
-    for start in range(0, n, rows):
-        idx = lab[start:start + rows] - 1
-        block = x[start:start + rows]
-        block *= sd[idx]
-        block += spec.means[idx]
+    for row, k in zip(x, lab - 1):
+        row *= sd[k]
+        row += spec.means[k]
     x.setflags(write=False)
     return FeatureMatrix(x), ClusterAssignment(lab, spec.k0)
 
 
-def _draw_labels_min_size(
-    spec: MixtureSpec, n: int, rng: np.random.Generator, min_size: int
+def _draw_labels(
+    spec: MixtureSpec, n: int, rng: np.random.Generator, min_size: int = 0
 ) -> np.ndarray:
-    """Rejection-sample labels until every cluster has >= min_size members."""
+    """Labels i.i.d. from the weights, redrawn until every cluster has >=
+    min_size members (a min_size of 0 keeps the first draw)."""
     for _ in range(_REJECTION_CAP):
         lab = rng.choice(spec.k0, size=n, p=spec.weights).astype(np.int64) + 1
         if np.bincount(lab, minlength=spec.k0 + 1)[1:].min() >= min_size:
@@ -331,7 +325,7 @@ def empirical_concentration(
     table = _expectation_table(spec.means, spec.variances)
     row_sq = np.empty((reps, n))
     for r in range(reps):
-        lab = _draw_labels_min_size(spec, n, rngs[r], 2)
+        lab = _draw_labels(spec, n, rngs[r], 2)
         diff = _replicate(spec, n, rngs[r], lab) - _laid_out(table, lab - 1, lab)
         row_sq[r] = (diff * diff).sum(axis=1)
     sq = row_sq.sum(axis=1)
@@ -378,7 +372,7 @@ def expectation_check(spec: MixtureSpec, n: int, reps: int) -> ExpectationReport
     if reps < 100:
         raise ValueError("need reps >= 100")
     label_seq, rep_root = np.random.SeedSequence(spec.seed).spawn(2)
-    lab = _draw_labels_min_size(spec, n, stream(label_seq), 2)
+    lab = _draw_labels(spec, n, stream(label_seq), 2)
     expected = _laid_out(_expectation_table(spec.means, spec.variances), lab - 1, lab)
 
     aug = np.empty((reps, n, n + 1))

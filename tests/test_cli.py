@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gramclust import gen_mixture
+from gramclust import cli
 from gramclust.cli import main
 from tests.conftest import (
     MISTYPED_PLAN_EDITS,
@@ -585,6 +586,20 @@ class TestSettingsPerCommand:
         monkeypatch.setenv("GRAMCLUST_OUTPUT_DIR", "")
         assert main(argv) == 2
         assert capsys.readouterr() == ("", "config error: output_dir must not be empty\n")
+
+    @pytest.mark.parametrize("command", ["cluster", "simulate"])
+    def test_output_dir_file_fails_before_the_work(self, argv_for, monkeypatch, capsys,
+                                                   tmp_path, command):
+        # both commands ran to the end and then exited 1 at os.makedirs
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the work ran before the output directory was made")
+
+        monkeypatch.setattr(cli, "cluster_features", must_not_run)
+        monkeypatch.setattr(cli, "concentration_sweep", must_not_run)
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        assert main([*argv_for[command][:-2], "--output-dir", str(afile)]) == 1
+        assert capsys.readouterr().err.startswith("error: [Errno 17] File exists")
 
     @pytest.mark.parametrize("var, value", [
         ("GRAMCLUST_KMAX", "0"), ("GRAMCLUST_PREPROCESS", "none"),

@@ -108,9 +108,9 @@ class TestGenMixture:
 
     @pytest.mark.parametrize("n, p", [(400, 2000), (60, 20000)])
     def test_holds_one_array(self, n, p):
-        # the scale and shift are gathered a block of rows at a time; whole
-        # gathered arrays peaked at 2.01 X and 2.05 X, the blocks at 1.13 X
-        # and 1.18 X (FeatureMatrix's finiteness mask is another X / 8)
+        # the scale and shift are applied one row at a time, in place; whole
+        # gathered arrays peaked at 2.01 X and 2.05 X, the rows at 1.13 X and
+        # 1.18 X (FeatureMatrix's finiteness mask is another X / 8)
         spec = three_cluster_spec(p, seed=4)
         gen_mixture(spec, n)  # warm-up, out of the traced peak
         peak = traced_peak(lambda: gen_mixture(spec, n))
@@ -268,7 +268,7 @@ class TestExpectationCheck:
 class TestHarnessOracle:
     """Both harnesses against a reference loop that calls expected_rows
     every replicate and draws with whole gathered arrays: the hoisted
-    expectations and the blocked draws must give the same bits."""
+    expectations and the in-place draws must give the same bits."""
 
     n = 12
 
