@@ -110,14 +110,20 @@ def _echo(config: argparse.Namespace) -> dict:
 
 
 def _jsonable(x):
+    """``x`` with every float that is not finite, at any depth, as None:
+    JSON has no Infinity or NaN."""
     if isinstance(x, float):
         return x if math.isfinite(x) else None
+    if isinstance(x, dict):
+        return {key: _jsonable(value) for key, value in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_jsonable(value) for value in x]
     return x
 
 
 def _dump_json(path: str, payload: dict) -> None:
     with open(path, "w") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        fh.write(json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n")
 
 
 def _write_csv(path: str, header: list, rows) -> None:
@@ -164,13 +170,13 @@ def cmd_cluster(input_path: str, config: argparse.Namespace) -> int:
         "bic_trace": [
             {
                 "k": fit.k,
-                "bic": _jsonable(fit.bic),
+                "bic": fit.bic,
                 "converged": fit.converged,
                 "degenerate": fit.degenerate,
                 "degenerate_reason": fit.degenerate_reason,
                 "floor_events": fit.floor_events,
                 "iterations": fit.iterations,
-                "loglik": _jsonable(fit.loglik),
+                "loglik": fit.loglik,
             }
             for fit in out.fits
         ],

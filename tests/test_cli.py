@@ -464,6 +464,26 @@ class TestSimulate:
         assert report["expectation_check"]["max_dev_aug"] == 0.0
         assert report["config"] == {"threads": 1}
 
+    @pytest.mark.parametrize("means", [[[0.1], [-0.3]], [[0.7], [-0.7]], [[0.3], [0.3]]])
+    def test_noiseless_rounding_reads_zero(self, tmp_path, capsys, means):
+        # these printed bound_satisfied=False, with max_dev_aug 9.95 or 12.4
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(simulation_plan(mean_patterns=means, n=10, seed=7)))
+        out = tmp_path / "out"
+        assert main(["simulate", str(plan_path), "--output-dir", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("bound_satisfied=True")
+        text = (out / "report.json").read_text()
+        assert "Infinity" not in text and "NaN" not in text
+        report = json.loads(text)
+        assert all(pt["mse_mean"] == 0.0 for pt in report["points"])
+        check = report["expectation_check"]
+        assert (check["max_dev_aug"], check["max_dev_gram"]) == (0.0, 0.0)
+
+    def test_report_writes_no_infinity(self, tmp_path):
+        path = tmp_path / "r.json"
+        cli._dump_json(str(path), {"a": {"b": [1.5, float("inf")]}, "c": float("nan")})
+        assert json.loads(path.read_text()) == {"a": {"b": [1.5, None]}, "c": None}
+
     def test_unit_variance_bounded(self, tmp_path):
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(json.dumps(simulation_plan(

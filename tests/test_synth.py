@@ -22,8 +22,8 @@ from gramclust import (
 from gramclust.data import gram_values
 from gramclust.hierarchy import ClusterAssignment
 from gramclust.synth import (
-    build_spec, concentration_sweep, expected_rows, replicate_streams,
-    row_deviation_bound, stream,
+    _GramLaw, _max_std_dev, build_spec, concentration_sweep, expected_rows,
+    replicate_streams, row_deviation_bound, stream,
 )
 from gramclust.transform import cluster_augment_values
 from tests.conftest import (
@@ -48,10 +48,22 @@ def three_cluster_spec(p: int, seed: int) -> MixtureSpec:
     )
 
 
-def gather_draws(spec, n, rng, lab):
-    """Reference draws: noise scaled and shifted by whole gathered arrays."""
-    noise = rng.standard_normal((n, spec.p))
-    return spec.means[lab - 1] + np.sqrt(spec.variances[lab - 1]) * noise
+def mixed_spec(seed: int) -> MixtureSpec:
+    """Two clusters whose 203 columns form a group of 200 and a group of
+    3: at N = 10 the first is drawn compressed and the second directly."""
+    return MixtureSpec(
+        k0=2, weights=[0.5, 0.5],
+        means=np.vstack([np.r_[np.ones(200), 2 * np.ones(3)],
+                         np.r_[-np.ones(200), np.zeros(3)]]),
+        variances=np.vstack([np.r_[np.ones(200), 0.5 * np.ones(3)],
+                             np.r_[2 * np.ones(200), 3 * np.ones(3)]]),
+        seed=seed,
+    )
+
+
+def sample_gram(spec, lab, rng):
+    """One draw of G under ``lab``, its law built afresh for the call."""
+    return _GramLaw(spec, lab.size).sample(rng, lab)
 
 
 def labels_min_size_two(spec, n, rng):
@@ -248,6 +260,30 @@ class TestExpectationCheck:
         assert report.max_dev_aug == 0.0
         assert report.max_dev_gram == 0.0
 
+    @pytest.mark.parametrize("means", [(0.1, -0.3), (0.7, -0.7), (0.3, 0.3)])
+    def test_noiseless_rounding_is_not_deviation(self, means):
+        # a slot averages identical values, which may round off their
+        # expectation; such entries read 9.95 and 12.4 standard errors
+        # before, and the concentration harness reported mse_mean 2.8e-34
+        # against a bound of 0
+        spec = MixtureSpec(k0=2, weights=[0.5, 0.5],
+                           means=np.vstack([np.full(50, means[0]), np.full(50, means[1])]),
+                           variances=np.zeros((2, 50)), seed=7)
+        report = expectation_check(spec, 10, 100)
+        assert (report.max_dev_aug, report.max_dev_gram) == (0.0, 0.0)
+        point = empirical_concentration(spec, 10, 30)
+        assert point.mse_mean == point.bound_sq == 0.0
+
+    def test_fixed_entry_off_its_expectation_is_inf(self):
+        # columns: fixed and exact, fixed and one rounding off (0.1 + 0.2
+        # is not 0.3), and random with mean 4 and standard error 1/sqrt(2)
+        samples = np.tile([1.0, 0.3, 2.0], (5, 1))
+        samples[:, 2] += np.arange(5)
+        expected = np.array([1.0, 0.1 + 0.2, 4.5])
+        assert _max_std_dev(samples, expected, 4) == pytest.approx(0.5 * math.sqrt(2))
+        expected[0] = 1.0 + 1e-9
+        assert _max_std_dev(samples, expected, 4) == math.inf
+
     def test_unit_variance_within_four_se(self):
         spec = two_cluster_spec(1.0, 200, seed=123)
         report = expectation_check(spec, 6, 200)
@@ -265,10 +301,77 @@ class TestExpectationCheck:
         assert peak / (reps * n * (n + 1) * 8) < 2.5
 
 
+def skewness(samples: np.ndarray) -> float:
+    """Each column's sample skewness, averaged over the columns."""
+    c = samples - samples.mean(axis=0)
+    return float(((c**3).mean(axis=0) / (c**2).mean(axis=0) ** 1.5).mean())
+
+
+class TestGramLaw:
+    """The exact-law draw against gram_values of gen_mixture's X, 1000
+    independent replicates each at N = 10 under fixed labels: per entry of
+    G, the two means within 4 standard errors of their difference, the sd
+    ratio within 0.85-1.15, and the correlations between entries within
+    0.25; over the off-diagonal entries, the mean skewness within 0.1. At
+    these seeds the worst cases were 2.8 SE, 0.91-1.09, 0.16 and 0.04."""
+
+    n, reps = 10, 1000
+
+    @pytest.mark.parametrize("spec, seed", [
+        (three_cluster_spec(250, seed=1), 11),   # two groups of 125, compressed
+        (three_cluster_spec(4000, seed=1), 12),  # two groups of 2000, compressed
+        # pure noise in one group of N + 1 columns, the narrowest compressed:
+        # a Wishart degree of freedom off by one moves the diagonal's mean
+        # by about 5 standard errors
+        (MixtureSpec(k0=1, weights=[1.0], means=np.zeros((1, 11)),
+                     variances=np.ones((1, 11)), seed=1), 15),
+        # the same with mean 1: an off-diagonal entry's skewness, about
+        # 0.35, comes from z alone, and a cross term drawn with a z of its
+        # own reads about 0
+        (MixtureSpec(k0=1, weights=[1.0], means=np.ones((1, 11)),
+                     variances=np.ones((1, 11)), seed=1), 16),
+        # one group of N columns, the widest direct: Bartlett would need a
+        # chi-square with 0 degrees of freedom
+        (MixtureSpec(k0=1, weights=[1.0], means=np.ones((1, 10)),
+                     variances=np.ones((1, 10)), seed=1), 17),
+        (three_cluster_spec(12, seed=1), 13),    # two groups of 6 < N, direct
+        (mixed_spec(seed=1), 14),                # one of each
+    ])
+    def test_matches_gen_mixture(self, spec, seed):
+        lab = np.resize(np.arange(1, spec.k0 + 1), self.n)
+        old_root, new_root = np.random.SeedSequence(seed).spawn(2)
+        old = np.array([
+            gram_values(gen_mixture(spec, self.n, rng=rng, labels=lab)[0].values)
+            for rng in replicate_streams(old_root, self.reps)
+        ])
+        new = np.array([sample_gram(spec, lab, rng)
+                        for rng in replicate_streams(new_root, self.reps)])
+        upper = np.triu_indices(self.n)
+        a, b = old[:, upper[0], upper[1]], new[:, upper[0], upper[1]]
+        se = np.sqrt((a.var(axis=0, ddof=1) + b.var(axis=0, ddof=1)) / self.reps)
+        assert (np.abs(a.mean(axis=0) - b.mean(axis=0)) / se).max() < 4.0
+        ratio = b.std(axis=0, ddof=1) / a.std(axis=0, ddof=1)
+        assert 0.85 < ratio.min() and ratio.max() < 1.15
+        assert np.abs(np.corrcoef(a.T) - np.corrcoef(b.T)).max() < 0.25
+        off = np.triu_indices(self.n, 1)
+        assert abs(skewness(old[:, off[0], off[1]]) - skewness(new[:, off[0], off[1]])) < 0.1
+
+    def test_noiseless_is_the_expectation(self):
+        # the mean terms come from the expectation table, outside any
+        # product with the noise, so no bit is lost to rounding
+        spec = MixtureSpec(k0=2, weights=[0.5, 0.5],
+                           means=np.vstack([np.full(50, 0.1), np.full(50, -0.3)]),
+                           variances=np.zeros((2, 50)), seed=2)
+        lab = np.array([1, 2, 2, 1, 1])
+        expected = expected_rows(spec, ClusterAssignment(lab, 2)).pairwise[
+            np.ix_(lab - 1, lab - 1)]
+        assert np.array_equal(sample_gram(spec, lab, stream(0)), expected)
+
+
 class TestHarnessOracle:
-    """Both harnesses against a reference loop that calls expected_rows
-    every replicate and draws with whole gathered arrays: the hoisted
-    expectations and the in-place draws must give the same bits."""
+    """Both harnesses against a reference loop that builds the draw's law
+    and calls expected_rows every replicate: the hoisted column groups and
+    expectations must give the same bits."""
 
     n = 12
 
@@ -279,8 +382,7 @@ class TestHarnessOracle:
         sq, row_sq = np.empty(reps), np.empty((reps, self.n))
         for r, rng in enumerate(replicate_streams(np.random.SeedSequence(spec.seed), reps)):
             lab = labels_min_size_two(spec, self.n, rng)
-            x = gather_draws(spec, self.n, rng, lab)
-            aug = cluster_augment_values(gram_values(x), lab)
+            aug = cluster_augment_values(sample_gram(spec, lab, rng), lab)
             diff = aug - expected_rows(spec, ClusterAssignment(lab, spec.k0)).row_means
             row_sq[r] = (diff * diff).sum(axis=1)
             sq[r] = row_sq[r].sum()
@@ -297,8 +399,7 @@ class TestHarnessOracle:
         lab = labels_min_size_two(spec, self.n, stream(label_seq))
         expectations = expected_rows(spec, ClusterAssignment(lab, spec.k0))
         grams = np.array([
-            gram_values(gather_draws(spec, self.n, rng, lab))
-            for rng in replicate_streams(rep_root, reps)
+            sample_gram(spec, lab, rng) for rng in replicate_streams(rep_root, reps)
         ])
         augs = np.array([cluster_augment_values(g, lab) for g in grams])
 
