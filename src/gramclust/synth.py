@@ -277,9 +277,13 @@ def separability_diagnostic(expectations: RowExpectations) -> SeparabilityReport
 class _GramLaw:
     """What a draw of G = X X^T / P for n objects needs from a spec, found
     once per spec. Columns whose mean and variance agree in every cluster
-    form a group: ``means`` and ``sds`` are K0 x groups, ``widths`` holds
-    each group's column count, and ``table`` is the expectation table.
-    (A plain class: a dataclass would add about a millisecond to every
+    form a group. The groups of more than n columns are drawn compressed:
+    their sds are ``wide_sds``, their widths' square roots ``wide_roots``
+    and their Bartlett degrees of freedom ``wide_df``. The narrower groups'
+    columns are drawn as one block: their sds are ``block_sds`` and each
+    group's first column in the block is in ``cuts``. ``means`` is K0 x
+    groups, wide groups first, and ``table`` is the expectation table. (A
+    plain class: a dataclass would add about a millisecond to every
     command's import.)"""
 
     def __init__(self, spec: MixtureSpec, n: int):
@@ -288,11 +292,18 @@ class _GramLaw:
         cols = np.vstack([spec.means, spec.variances])
         cols = cols[:, np.lexsort(cols[::-1])]
         starts = np.flatnonzero(np.append(True, (cols[:, 1:] != cols[:, :-1]).any(axis=0)))
+        widths = np.diff(np.append(starts, spec.p))
+        wide = widths > n
+        sds = np.sqrt(cols[spec.k0 :])
         self.table = _expectation_table(spec.means, spec.variances)
-        self.means = cols[: spec.k0, starts]
-        self.sds = np.sqrt(cols[spec.k0 :, starts])
-        self.widths = np.diff(np.append(starts, spec.p))
+        self.means = cols[: spec.k0, np.append(starts[wide], starts[~wide])]
+        self.wide_sds = sds[:, starts[wide]]
+        self.wide_roots = np.sqrt(widths[wide])
+        self.wide_df = widths[wide, None] - 1 - np.arange(n)
+        self.block_sds = sds[:, np.repeat(~wide, widths)]
+        self.cuts = np.cumsum(widths[~wide]) - widths[~wide]
         self.p = spec.p
+        self.diagonal = np.diag_indices(n)
         self.lower = np.tril_indices(n, -1)
 
     def sample(self, rng: np.random.Generator, lab: np.ndarray) -> np.ndarray:
@@ -304,30 +315,27 @@ class _GramLaw:
         Rotating E's columns by an orthogonal matrix whose first column is
         1/sqrt(P_g) gives E 1 = sqrt(P_g) z and E E^T = z z^T + W, with
         z ~ N(0, I) and W ~ Wishart(N, P_g - 1, I) independent; Bartlett's
-        lower-triangular factor A (W = A A^T) needs P_g - 1 >= N, and a
-        narrower group draws E itself. The noise factors D [A, z] are
-        stacked into one Gram product, and the mean terms P_g m m^T sum to
-        the expectation table's pairwise block, so a noiseless spec gives
-        that block exactly."""
+        lower-triangular factor A (W = A A^T) needs P_g - 1 >= N, and the
+        narrower groups draw D E itself. The noise factors D [A, z] and D E
+        are stacked into one Gram product, and the mean terms P_g m m^T sum
+        to the expectation table's pairwise block, so a noiseless spec gives
+        that block exactly. Every draw is one call for all groups."""
         c = lab - 1
         n = c.size
-        factors, sums = [], []
-        for sd, width in zip(self.sds.T, self.widths):
-            if width - 1 >= n:
-                z = rng.standard_normal(n)
-                a = np.zeros((n, n + 1))
-                a[:, n] = z
-                a[np.diag_indices(n)] = np.sqrt(rng.chisquare(width - 1 - np.arange(n)))
-                a[self.lower] = rng.standard_normal(n * (n - 1) // 2)
-                row_sums = math.sqrt(width) * z
-            else:
-                a = rng.standard_normal((n, width))
-                row_sums = a.sum(axis=1)
-            d = sd[c]
-            factors.append(d[:, None] * a)
-            sums.append(d * row_sums)
-        f = np.hstack(factors)
-        cross = np.column_stack(sums) @ self.means[c].T
+        groups = self.wide_roots.size
+        d = self.wide_sds[c].T
+        z = rng.standard_normal((groups, n))
+        a = np.zeros((groups, n, n + 1))
+        a[:, :, n] = z
+        a[:, self.diagonal[0], self.diagonal[1]] = np.sqrt(rng.chisquare(self.wide_df))
+        a[:, self.lower[0], self.lower[1]] = rng.standard_normal((groups, n * (n - 1) // 2))
+        a *= d[:, :, None]
+        block = self.block_sds[c] * rng.standard_normal((n, self.block_sds.shape[1]))
+        f = np.hstack([a.transpose(1, 0, 2).reshape(n, groups * (n + 1)), block])
+        sums = [(d * (self.wide_roots[:, None] * z)).T]
+        if self.cuts.size:
+            sums.append(np.add.reduceat(block, self.cuts, axis=1))
+        cross = np.hstack(sums) @ self.means[c].T
         return (
             gram_values(f) * (f.shape[1] / self.p)
             + (cross + cross.T) / self.p
