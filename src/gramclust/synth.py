@@ -294,13 +294,12 @@ class _GramLaw:
         starts = np.flatnonzero(np.append(True, (cols[:, 1:] != cols[:, :-1]).any(axis=0)))
         widths = np.diff(np.append(starts, spec.p))
         wide = widths > n
-        sds = np.sqrt(cols[spec.k0 :])
         self.table = _expectation_table(spec.means, spec.variances)
         self.means = cols[: spec.k0, np.append(starts[wide], starts[~wide])]
-        self.wide_sds = sds[:, starts[wide]]
+        self.wide_sds = np.sqrt(cols[spec.k0 :, starts[wide]])
         self.wide_roots = np.sqrt(widths[wide])
         self.wide_df = widths[wide, None] - 1 - np.arange(n)
-        self.block_sds = sds[:, np.repeat(~wide, widths)]
+        self.block_sds = np.sqrt(cols[spec.k0 :, np.repeat(~wide, widths)])
         self.cuts = np.cumsum(widths[~wide]) - widths[~wide]
         self.p = spec.p
         self.diagonal = np.diag_indices(n)
