@@ -282,9 +282,7 @@ class _GramLaw:
     and their Bartlett degrees of freedom ``wide_df``. The narrower groups'
     columns are drawn as one block: their sds are ``block_sds`` and each
     group's first column in the block is in ``cuts``. ``means`` is K0 x
-    groups, wide groups first, and ``table`` is the expectation table. (A
-    plain class: a dataclass would add about a millisecond to every
-    command's import.)"""
+    groups, wide groups first, and ``table`` is the expectation table."""
 
     def __init__(self, spec: MixtureSpec, n: int):
         # Sorted columns, cut where one differs from the last: the groups
