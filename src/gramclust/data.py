@@ -225,10 +225,13 @@ def standardized_gram(x: FeatureMatrix, log_if_positive: bool) -> GramMatrix:
 
 
 def gram_values(values: np.ndarray) -> np.ndarray:
-    """Raw kernel: V V^T / P, symmetrized to guard downstream invariants."""
+    """Raw kernel: V V^T / P, symmetrized to guard downstream invariants.
+    A (..., N, P) stack gives (..., N, N): the batched product runs the
+    2-D call's BLAS routine on each slice, so each G is bit-identical to
+    its own call."""
     v = np.asarray(values, dtype=np.float64)
-    g = v @ v.T / v.shape[1]
-    return (g + g.T) / 2.0
+    g = v @ v.swapaxes(-1, -2) / v.shape[-1]
+    return (g + g.swapaxes(-1, -2)) / 2.0
 
 
 def gram(x: FeatureMatrix) -> GramMatrix:

@@ -240,8 +240,11 @@ def _laid_out(table: np.ndarray, clusters: np.ndarray, lab: np.ndarray) -> np.nd
     a lays table[a, label_j] against the assignment and closes with the
     diagonal column. The j == i slot of an object's own row carries
     pairwise[a, a], matching the same-cluster column average in the
-    transform."""
-    return table[np.ix_(clusters, np.append(lab - 1, table.shape[0]))]
+    transform. Stacks of ``clusters`` and ``lab``, (..., R) and (..., N),
+    give a stack of rows, (..., R, N+1)."""
+    closing = np.full(lab.shape[:-1] + (1,), table.shape[0])
+    cols = np.concatenate([lab - 1, closing], axis=-1)
+    return table[clusters[..., :, None], cols[..., None, :]]
 
 
 @dataclass(frozen=True)
@@ -274,6 +277,14 @@ def separability_diagnostic(expectations: RowExpectations) -> SeparabilityReport
     return SeparabilityReport(min_gap=best, pair=pair)
 
 
+# A chunk of stacked replicates holds about this many bytes in its widest
+# array, the noise factor or the N x (N+1) rows. On the benchmark plan
+# 2**18 and 2**19 were the fastest of 2**14 to 2**21 (9 and 19 replicates
+# a chunk); the smaller keeps a plan with a 1000-column narrow block at one
+# replicate a chunk, where a fixed chunk of 10 raised the peak 11 times.
+_CHUNK_BYTES = 2**18
+
+
 class _GramLaw:
     """What a draw of G = X X^T / P for n objects needs from a spec, found
     once per spec. Columns whose mean and variance agree in every cluster
@@ -282,7 +293,9 @@ class _GramLaw:
     and their Bartlett degrees of freedom ``wide_df``. The narrower groups'
     columns are drawn as one block: their sds are ``block_sds`` and each
     group's first column in the block is in ``cuts``. ``means`` is K0 x
-    groups, wide groups first, and ``table`` is the expectation table."""
+    groups, wide groups first, and ``table`` is the expectation table.
+    ``chunk`` is how many replicates the harnesses stack, sized by bytes
+    from the noise factor's width."""
 
     def __init__(self, spec: MixtureSpec, n: int):
         # Sorted columns, cut where one differs from the last: the groups
@@ -302,12 +315,29 @@ class _GramLaw:
         self.p = spec.p
         self.diagonal = np.diag_indices(n)
         self.lower = np.tril_indices(n, -1)
+        width = self.wide_roots.size * (n + 1) + self.block_sds.shape[1]
+        self.chunk = max(1, _CHUNK_BYTES // (8 * n * max(width, n + 1)))
 
-    def sample(self, rng: np.random.Generator, lab: np.ndarray) -> np.ndarray:
-        """G under ``lab`` from its exact law, with no N x P draw.
+    def draw(self, rng: np.random.Generator) -> tuple:
+        """One replicate's random arrays, in stream order: z, the
+        chi-squares and the Bartlett normals of the wide groups, and the
+        narrow block's standard normals."""
+        groups, n = self.wide_df.shape
+        return (
+            rng.standard_normal((groups, n)),
+            rng.chisquare(self.wide_df),
+            rng.standard_normal((groups, n * (n - 1) // 2)),
+            rng.standard_normal((n, self.block_sds.shape[1])),
+        )
 
-        A group's block is X_g = D E + m 1^T, where D and m hold each row's
-        sd and mean and E is N x P_g standard normal, so
+    def sample(self, draws: list, labs: np.ndarray) -> np.ndarray:
+        """The (R, n, n) stack of G for R replicates: their ``draw``s and
+        their (R, n) labels. Each G is the one its replicate alone gives,
+        bit for bit: the steps act on each slice as on a single G.
+
+        G comes from its exact law, with no N x P draw. A group's block is
+        X_g = D E + m 1^T, where D and m hold each row's sd and mean and E
+        is N x P_g standard normal, so
         X_g X_g^T = D E E^T D + D E 1 m^T + m 1^T E^T D + P_g m m^T.
         Rotating E's columns by an orthogonal matrix whose first column is
         1/sqrt(P_g) gives E 1 = sqrt(P_g) z and E E^T = z z^T + W, with
@@ -316,34 +346,30 @@ class _GramLaw:
         narrower groups draw D E itself. The noise factors D [A, z] and D E
         are stacked into one Gram product, and the mean terms P_g m m^T sum
         to the expectation table's pairwise block, so a noiseless spec gives
-        that block exactly. Every draw is one call for all groups."""
-        c = lab - 1
-        n = c.size
+        that block exactly."""
+        z, chi, normals, block = (np.stack(arrays) for arrays in zip(*draws))
+        c = labs - 1
+        reps, n = c.shape
         groups = self.wide_roots.size
-        d = self.wide_sds[c].T
-        z = rng.standard_normal((groups, n))
-        a = np.zeros((groups, n, n + 1))
-        a[:, :, n] = z
-        a[:, self.diagonal[0], self.diagonal[1]] = np.sqrt(rng.chisquare(self.wide_df))
-        a[:, self.lower[0], self.lower[1]] = rng.standard_normal((groups, n * (n - 1) // 2))
-        a *= d[:, :, None]
-        block = self.block_sds[c] * rng.standard_normal((n, self.block_sds.shape[1]))
-        f = np.hstack([a.transpose(1, 0, 2).reshape(n, groups * (n + 1)), block])
-        sums = [(d * (self.wide_roots[:, None] * z)).T]
-        if self.cuts.size:
-            sums.append(np.add.reduceat(block, self.cuts, axis=1))
-        cross = np.hstack(sums) @ self.means[c].T
-        return (
-            gram_values(f) * (f.shape[1] / self.p)
-            + (cross + cross.T) / self.p
-            + self.table[np.ix_(c, c)]
+        d = self.wide_sds[c].swapaxes(-1, -2)
+        a = np.zeros((reps, groups, n, n + 1))
+        a[..., n] = z
+        a[..., self.diagonal[0], self.diagonal[1]] = np.sqrt(chi)
+        a[..., self.lower[0], self.lower[1]] = normals
+        a *= d[..., None]
+        block *= self.block_sds[c]
+        f = np.concatenate(
+            [a.transpose(0, 2, 1, 3).reshape(reps, n, groups * (n + 1)), block], axis=-1
         )
-
-
-def _replicate(law: _GramLaw, rng: np.random.Generator, lab) -> np.ndarray:
-    """One replicate of the harnesses: G drawn under ``lab`` and the
-    cluster-aware matrix of it, N x (N+1)."""
-    return cluster_augment_values(law.sample(rng, lab), lab)
+        sums = [(d * (self.wide_roots[:, None] * z)).swapaxes(-1, -2)]
+        if self.cuts.size:
+            sums.append(np.add.reduceat(block, self.cuts, axis=-1))
+        cross = np.concatenate(sums, axis=-1) @ self.means[c].swapaxes(-1, -2)
+        return (
+            gram_values(f) * (f.shape[-1] / self.p)
+            + (cross + cross.swapaxes(-1, -2)) / self.p
+            + self.table[c[:, :, None], c[:, None, :]]
+        )
 
 
 def _rounding(expected: np.ndarray, n: int) -> np.ndarray:
@@ -395,16 +421,22 @@ def empirical_concentration(
         raise ValueError("need reps >= 30")
     if rngs is None:
         rngs = replicate_streams(np.random.SeedSequence(spec.seed), reps)
-    # The spec-only terms of the draw and of expected_rows, once; a
-    # replicate's expected rows are then one gather against its assignment.
+    # The spec-only terms of the draw and of expected_rows, once. Each
+    # replicate draws its labels and noise from its own stream, in turn;
+    # the rest runs on a chunk's stack of replicates.
     law = _GramLaw(spec, n)
     row_sq = np.empty((reps, n))
-    for r in range(reps):
-        lab = _draw_labels(spec, n, rngs[r], 2)
-        expected = _laid_out(law.table, lab - 1, lab)
-        diff = _replicate(law, rngs[r], lab) - expected
+    for start in range(0, reps, law.chunk):
+        labs, draws = [], []
+        for rng in rngs[start : start + law.chunk]:
+            labs.append(_draw_labels(spec, n, rng, 2))
+            draws.append(law.draw(rng))
+        labs = np.array(labs)
+        g = law.sample(draws, labs)
+        expected = _laid_out(law.table, labs - 1, labs)
+        diff = np.stack([cluster_augment_values(*pair) for pair in zip(g, labs)]) - expected
         diff[np.abs(diff) <= _rounding(expected, n)] = 0.0
-        row_sq[r] = (diff * diff).sum(axis=1)
+        row_sq[start : start + len(labs)] = (diff * diff).sum(axis=-1)
     sq = row_sq.sum(axis=1)
     b = BoundInputs.from_spec(spec, n)
     return ConcentrationPoint(
@@ -453,9 +485,12 @@ def expectation_check(spec: MixtureSpec, n: int, reps: int) -> ExpectationReport
     law = _GramLaw(spec, n)
     expected = _laid_out(law.table, lab - 1, lab)
 
+    rngs = replicate_streams(rep_root, reps)
     aug = np.empty((reps, n, n + 1))
-    for r, rng in enumerate(replicate_streams(rep_root, reps)):
-        aug[r] = _replicate(law, rng, lab)
+    for start in range(0, reps, law.chunk):
+        draws = [law.draw(rng) for rng in rngs[start : start + law.chunk]]
+        labs = np.broadcast_to(lab, (len(draws), n))
+        aug[start : start + len(draws)] = cluster_augment_values(law.sample(draws, labs), lab)
     max_dev_aug = _max_std_dev(aug, expected, n)
     off = ~np.eye(n, dtype=bool)
     gram = aug[:, :, :n][:, off]
@@ -564,9 +599,9 @@ class SimulationPlan:
 
 def build_spec(plan: SimulationPlan, p: int) -> MixtureSpec:
     """Instantiate the plan's mixture at feature count p."""
-    means = np.stack([np.resize(np.asarray(pat, float), p) for pat in plan.mean_patterns])
-    variances = np.stack(
-        [np.resize(np.asarray(pat, float), p) for pat in plan.variance_patterns]
+    means, variances = (
+        np.stack([np.tile(np.asarray(pat, float), -(-p // len(pat)))[:p] for pat in patterns])
+        for patterns in (plan.mean_patterns, plan.variance_patterns)
     )
     return MixtureSpec(
         k0=plan.k0,

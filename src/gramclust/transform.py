@@ -45,32 +45,39 @@ class AugmentedGram:
 
 
 def _with_diagonal(g: np.ndarray) -> np.ndarray:
-    """A new N x (N+1) array: ``g`` with its diagonal appended as the last
-    column. Slots (i,i) still hold g's diagonal until they are written."""
-    return np.concatenate([g, np.diag(g)[:, None]], axis=1)
+    """A new (..., N, N+1) array: each G of ``g`` with its diagonal
+    appended as the last column. Slots (i,i) still hold G's diagonal until
+    they are written."""
+    return np.concatenate([g, np.diagonal(g, 0, -2, -1)[..., None]], axis=-1)
 
 
 def _cluster_slots(g: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """The slot values (i,i), in order, for the members ``idx`` (sorted
-    row indices) of one cluster: the mean of g[j,i] over the other
-    members j, or over every j != i for a singleton.
+    row indices) of one cluster, in each G of ``g``: the mean of g[j,i]
+    over the other members j, or over every j != i for a singleton.
 
-    A slot depends only on g and on its own cluster, so one cluster's
+    A slot depends only on G and on its own cluster, so one cluster's
     values hold under every partition that contains the cluster.
     """
     s = idx.size
+    lead = g.shape[:-2]
     if s == 1:
         i = idx[0]
-        return np.delete(g[:, i], i).sum(keepdims=True) / (g.shape[0] - 1)
+        return np.delete(g[..., :, i], i, axis=-1).sum(axis=-1, keepdims=True) / (
+            g.shape[-1] - 1
+        )
     # Row r of this contiguous (s, s-1) array holds column r of the
     # cluster block minus its diagonal entry, in row order, so each row
     # sum is bit-identical to the 1-D masked column sum.
-    off = g[idx][:, idx].T.reshape(-1)[1:].reshape(s - 1, s + 1)[:, :-1]
-    return off.reshape(s, s - 1).sum(axis=1) / (s - 1)
+    block = g[..., idx, :][..., idx].swapaxes(-1, -2).reshape(*lead, s * s)
+    off = block[..., 1:].reshape(*lead, s - 1, s + 1)[..., :-1]
+    return off.reshape(*lead, s, s - 1).sum(axis=-1) / (s - 1)
 
 
 def cluster_augment_values(g: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Array kernel of the transform.
+    """Array kernel of the transform: an N x N ``g`` gives N x (N+1), and
+    a (..., N, N) stack of Gram matrices, all under ``labels``, gives
+    (..., N, N+1), each G's slice bit-identical to its own call.
 
     Slot (i,i) becomes the mean of g[j,i] over j != i with the same label
     (the column direction matters only for asymmetric test sentinels;
@@ -84,10 +91,12 @@ def cluster_augment_values(g: np.ndarray, labels: np.ndarray) -> np.ndarray:
     g = np.asarray(g, dtype=np.float64)
     lab = np.asarray(labels, dtype=np.int64)
     m = _with_diagonal(g)
-    _, counts = np.unique(lab, return_counts=True)
+    # The clusters in label order, each member list sorted: runs of the
+    # stably sorted labels.
     order = np.argsort(lab, kind="stable")
-    for idx in np.split(order, np.cumsum(counts)[:-1]):
-        m[idx, idx] = _cluster_slots(g, idx)
+    ranked = lab[order]
+    for idx in np.split(order, np.flatnonzero(ranked[1:] != ranked[:-1]) + 1):
+        m[..., idx, idx] = _cluster_slots(g, idx)
     return m
 
 

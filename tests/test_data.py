@@ -12,7 +12,7 @@ from gramclust import (
     FeatureMatrix, GramMatrix, cluster_features, gram, preprocess_dataset, standardize_columns,
 )
 from gramclust import data
-from gramclust.data import _layout, read_feature_csv, standardized_gram
+from gramclust.data import _layout, gram_values, read_feature_csv, standardized_gram
 from gramclust.errors import AllColumnsConstantError, DataError, NonFiniteInputError
 from tests.conftest import traced_peak
 
@@ -204,6 +204,15 @@ class TestGram:
     def test_asymmetric_construction_rejected(self):
         with pytest.raises(ValueError):
             GramMatrix(np.array([[1.0, 2.0], [2.1, 1.0]]))
+
+    @pytest.mark.parametrize("n, p", [(2, 1), (7, 3), (12, 26), (40, 82), (40, 1000), (60, 250)])
+    def test_stack_matches_slices(self, n, p):
+        # each G of a stack must be the 2-D call's, bit for bit
+        v = np.random.default_rng(n * p).normal(size=(4, n, p))
+        stacked = gram_values(v)
+        assert stacked.shape == (4, n, n)
+        for g, slice_ in zip(stacked, v):
+            assert g.tobytes() == gram_values(slice_).tobytes()
 
 
 class TestReadFeatureCsv:

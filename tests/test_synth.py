@@ -19,6 +19,7 @@ from gramclust import (
     expectation_check,
     gen_mixture,
 )
+from gramclust import synth
 from gramclust.data import gram_values
 from gramclust.hierarchy import ClusterAssignment
 from gramclust.synth import (
@@ -63,7 +64,8 @@ def mixed_spec(seed: int) -> MixtureSpec:
 
 def sample_gram(spec, lab, rng):
     """One draw of G under ``lab``, its law built afresh for the call."""
-    return _GramLaw(spec, lab.size).sample(rng, lab)
+    law = _GramLaw(spec, lab.size)
+    return law.sample([law.draw(rng)], lab[None])[0]
 
 
 def labels_min_size_two(spec, n, rng):
@@ -247,6 +249,20 @@ class TestConcentrationHarness:
         assert point.mse_mean <= point.bound_sq
         assert point.row_mse_max <= point.row_bound
 
+    def test_wide_narrow_block_holds_little(self):
+        # 35 groups of 28 or 29 columns, all narrower than n = 40, make one
+        # 1000-column block: stacks sized by bytes keep one replicate a
+        # chunk and peaked at 1.25 MB, a fixed chunk of 10 at 14.0 MB
+        plan = SimulationPlan(
+            k0=3, weights=(0.4, 0.35, 0.25),
+            mean_patterns=([i % 7 for i in range(1000)], [-1.0], [0.5]),
+            variance_patterns=([1.0], [1 + i % 5 for i in range(1000)], [2.0]),
+            n=40, reps=100, p_grid=(1000,),
+        )
+        spec = build_spec(plan, 1000)
+        empirical_concentration(spec, 40, 100)  # warm-up, out of the traced peak
+        assert traced_peak(lambda: empirical_concentration(spec, 40, 100)) < 2e6
+
 
 class TestExpectationCheck:
     def test_noiseless_exact(self):
@@ -416,6 +432,27 @@ class TestHarnessOracle:
         )
 
 
+class TestHarnessChunks:
+    """Both harnesses give the same bits whatever their chunk: one
+    replicate a chunk, every replicate in one, and the default, which at
+    n = 40 stacks 9 or 18 of these replicates and leaves a short last
+    chunk."""
+
+    n = 40
+
+    @pytest.mark.parametrize("spec", [three_cluster_spec(250, seed=81), mixed_spec(seed=82)])
+    @pytest.mark.parametrize("chunk_bytes", [1, 2**40])
+    def test_chunk_keeps_results(self, monkeypatch, spec, chunk_bytes):
+        assert 1 < _GramLaw(spec, self.n).chunk < 30
+        point = empirical_concentration(spec, self.n, 30)
+        report = expectation_check(spec, self.n, 100)
+        monkeypatch.setattr(synth, "_CHUNK_BYTES", chunk_bytes)
+        chunk = _GramLaw(spec, self.n).chunk
+        assert chunk == 1 if chunk_bytes == 1 else chunk >= 100
+        assert empirical_concentration(spec, self.n, 30) == point
+        assert expectation_check(spec, self.n, 100) == report
+
+
 class TestSimulationPlan:
     def test_roundtrip_and_tiling(self):
         plan = SimulationPlan(
@@ -428,6 +465,12 @@ class TestSimulationPlan:
         spec = build_spec(plan, 5)
         np.testing.assert_array_equal(spec.means[0], np.ones(5))
         np.testing.assert_array_equal(spec.means[1], [-1.0, 0.0, -1.0, 0.0, -1.0])
+        for p in (1, 2, 5, 7):
+            # the tiling np.resize did, bit for bit
+            spec = build_spec(plan, p)
+            assert spec.means.tobytes() == np.stack(
+                [np.resize(np.asarray(pat), p) for pat in plan.mean_patterns]
+            ).tobytes()
 
     def test_whole_floats_become_ints(self):
         plan = SimulationPlan(**simulation_plan(n=6.0, reps=30.0, p_grid=[50.0], seed=3.0))

@@ -81,6 +81,31 @@ class TestKernelOracle:
                 cluster_augment_values(g, labels), reference_cluster_augment(g, labels)
             )
 
+    def test_stack_matches_slices(self):
+        # a (4, n, n) stack under one label vector: each slice must be its
+        # own call's, bit for bit
+        rng = np.random.default_rng(12)
+        cases = []
+        for n in [2, 3, 12, 40, 60, *rng.integers(4, 60, size=8).tolist()]:
+            k = int(rng.integers(1, n + 1))
+            cases.append((rng.normal(size=(4, n, n)), rng.integers(1, k + 1, size=n)))
+        for n in (3, 17, 60):  # few clusters plus two singletons
+            labels = rng.integers(1, 4, size=n)
+            labels[:2] = [8, 9]
+            cases.append((rng.normal(size=(4, n, n)), labels))
+        for n in (2, 9, 40):  # all singletons
+            cases.append((rng.normal(size=(4, n, n)), rng.permutation(n) + 1))
+        for n in (2, 5, 40):  # asymmetric sentinels, one per slice
+            i, j = np.indices((n, n))
+            g = np.stack([1000.0 * (i + 1) + (j + 1) + s / 7 for s in range(4)])
+            cases.append((g, np.ones(n, dtype=np.int64)))
+            cases.append((g, rng.integers(1, max(2, n // 3), size=n)))
+        for g, labels in cases:
+            stacked = cluster_augment_values(g, labels)
+            assert stacked.shape == (4, g.shape[1], g.shape[1] + 1)
+            for m, slice_ in zip(stacked, g):
+                assert m.tobytes() == cluster_augment_values(slice_, labels).tobytes()
+
 
 class TestAugment:
     def test_four_by_four_pattern(self):
