@@ -13,7 +13,6 @@ from .hierarchy import ClusterAssignment, Dendrogram, cut_tree
 from .metrics import ami, contingency, expected_mutual_info
 from .mixture import (
     FitResult,
-    MixtureParams,
     bic,
     cem_fit,
     num_params,
@@ -49,7 +48,6 @@ __all__ = [
     "contingency",
     "expected_mutual_info",
     "FitResult",
-    "MixtureParams",
     "bic",
     "cem_fit",
     "num_params",

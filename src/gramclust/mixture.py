@@ -6,8 +6,8 @@ from the current assignment, all with denominator n_k) and a hard E-step
 (argmax of weighted log-density) on a fixed input matrix. A final
 assignment with a cluster of at most 2 members is degenerate from its
 sizes alone; otherwise a last M-step on its cluster-aware matrix decides
-whether the fit is degenerate, and only a fit that is not gets
-parameters and a score (the quasi log-likelihood and its BIC).
+whether the fit is degenerate, and only a fit that is not gets a score
+(the quasi log-likelihood and its BIC).
 
 Every per-cluster statistic depends only on the cluster's members: it is
 a reduction over its own rows, in row order. A ClusterMemo shares that
@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import GramMatrix, _frozen
+from .data import GramMatrix
 from .errors import EmptyClusterError
 from .hierarchy import ClusterAssignment
 from .transform import AugmentedGram, augment_with_clusters
@@ -41,51 +41,18 @@ DEGENERATE_REASONS = ("emptied", "small_cluster", "floored")
 
 
 @dataclass(frozen=True)
-class MixtureParams:
-    """Weights, means and diagonal covariances of a K-component Gaussian
-    mixture.
-
-    ``covariances`` is (K, D) of per-coordinate variances.
-    """
-
-    weights: np.ndarray
-    means: np.ndarray
-    covariances: np.ndarray
-
-    def __post_init__(self):
-        w, mu, cov = map(_frozen, (self.weights, self.means, self.covariances))
-        k, d = mu.shape
-        if w.shape != (k,):
-            raise ValueError("weights must be a K-vector")
-        if np.min(w) < 0 or abs(w.sum() - 1.0) >= 1e-12:
-            raise ValueError("weights must be nonnegative and sum to 1")
-        if cov.shape != (k, d):
-            raise ValueError("diagonal covariances must be (K, D)")
-        if np.min(cov) < VARIANCE_FLOOR:
-            raise ValueError("diagonal variance below the floor")
-        for name, arr in (("weights", w), ("means", mu), ("covariances", cov)):
-            object.__setattr__(self, name, arr)
-
-    @property
-    def k(self) -> int:
-        return self.means.shape[0]
-
-
-@dataclass(frozen=True)
 class FitResult:
     """Outcome and score of one classification-EM fit at a fixed K.
 
     ``loglik`` is the full mixture quasi log-likelihood evaluated on the
-    cluster-aware matrix of the final assignment, ``bic`` its BIC and
-    ``params`` the mixture it was scored with. A fit is degenerate when
-    ``degenerate_reason`` (one of DEGENERATE_REASONS) is set. Degenerate
-    fits are not scored: they carry no params and loglik = bic = -inf,
-    and are excluded from the K sweep. ``floor_events`` counts M-steps
-    where some variance hit the floor.
+    cluster-aware matrix of the final assignment and ``bic`` its BIC. A
+    fit is degenerate when ``degenerate_reason`` (one of
+    DEGENERATE_REASONS) is set. Degenerate fits are not scored: they carry
+    loglik = bic = -inf and are excluded from the K sweep.
+    ``floor_events`` counts M-steps where some variance hit the floor.
     """
 
     labels: ClusterAssignment
-    params: Optional[MixtureParams]
     loglik: float
     bic: float
     iterations: int
@@ -98,8 +65,6 @@ class FitResult:
             raise ValueError(f"unknown degenerate_reason {self.degenerate_reason!r}")
         if self.degenerate and self.bic != float("-inf"):
             raise ValueError("degenerate fits must carry bic = -inf")
-        if self.degenerate != (self.params is None):
-            raise ValueError("params is None exactly when the fit is degenerate")
 
     @property
     def degenerate(self) -> bool:
@@ -199,14 +164,6 @@ def _mstep(x: np.ndarray, rows: list, keys: list, table: dict) -> list:
     return comps
 
 
-def _params(comps: list, rows: list, n: int) -> MixtureParams:
-    """The MixtureParams of components with the given members, in order."""
-    return MixtureParams(
-        np.array([idx.size for idx in rows]) / n, [c.mean for c in comps],
-        [c.var for c in comps],
-    )
-
-
 def _centred(x: np.ndarray) -> tuple:
     """(c, xc, xc*xc) of ``x``: its column means c and its rows less c."""
     c = x.mean(axis=0)
@@ -274,11 +231,10 @@ def cem_fit(
     E-step empties a component, when a final cluster has at most 2
     members (its variance on the cluster-aware matrix floors by
     construction), or when a variance floors in a last M-step on the
-    cluster-aware matrix of the final assignment. A degenerate fit
-    carries no parameters and is not scored. Otherwise that M-step yields
-    the reported parameters, ``loglik`` is the mixture quasi
-    log-likelihood of the cluster-aware rows and ``bic`` scores it with
-    num_params(k, N) free parameters.
+    cluster-aware matrix of the final assignment. A degenerate fit is not
+    scored. Otherwise ``loglik`` is the mixture quasi log-likelihood of
+    the cluster-aware rows under that M-step's components and ``bic``
+    scores it with num_params(k, N) free parameters.
 
     ``memo`` shares per-cluster work with the other fits on the same ``g``
     and ``m``; the result is the same with or without it.
@@ -315,7 +271,6 @@ def cem_fit(
     n = m.n_objects
     assignment = ClusterAssignment.from_raw(labels)
     loglik = score = float("-inf")
-    params = None
     if emptied:
         reason = "emptied"
     else:
@@ -331,12 +286,8 @@ def cem_fit(
     if reason is None:
         loglik = _total_loglik(_log_joint(aug, comps))
         score = bic(loglik, num_params(k, n), n)
-        # canonical component order: clusters by their first member
-        order = np.argsort([idx[0] for idx in rows])
-        params = _params([comps[j] for j in order], [rows[j] for j in order], n)
     return FitResult(
         labels=assignment,
-        params=params,
         loglik=loglik,
         bic=score,
         iterations=iterations,

@@ -48,9 +48,10 @@ class ClusterOutput:
         if [f.k for f in self.fits] != list(range(1, len(self.fits) + 1)):
             raise ValueError("fits must cover K = 1..Kmax exactly once")
         if not any(np.isfinite(f.bic) for f in self.fits):
-            # with N = 2 every cluster is small, so every fit is degenerate;
-            # with more objects K=1 has one cluster of N > 2 members and
-            # cannot empty it
+            # with N = 2 every cluster is small. With more objects, an
+            # object at every column's mean has a zero row and column in G:
+            # K = 1 floors in that column, and so does every cluster
+            # without it
             raise AllFitsDegenerateError("every K produced a degenerate fit")
 
     @property

@@ -209,11 +209,17 @@ class TestCluster:
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: feature column 1 is too large to standardize\n"
 
-    def test_two_objects_all_fits_degenerate_exit_1(self, tmp_path, capsys):
-        # every cluster of 2 objects has at most 2 members
-        path = tmp_path / "two.csv"
-        path.write_text("f1,f2\n1,2\n3,5\n")
-        assert main(["cluster", str(path), "--kmax", "2", "--output-dir", str(tmp_path / "o")]) == 1
+    @pytest.mark.parametrize("text, kmax", [
+        ("f1,f2\n1,2\n3,5\n", "2"),
+        ("f1\n-1\n0\n1\n", "3"),
+    ], ids=["two_objects", "object_at_mean"])
+    def test_all_fits_degenerate_exit_1(self, tmp_path, capsys, text, kmax):
+        # every cluster of 2 objects has at most 2 members. The middle of
+        # 3 objects standardizes to 0, so its row and column of G are 0:
+        # K = 1 floors and K = 2, 3 have small clusters
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        assert main(["cluster", str(path), "--kmax", kmax, "--output-dir", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == "error: every K produced a degenerate fit\n"
 
     def test_bad_config_exit_2(self, fixture_csv, tmp_path, capsys):

@@ -22,13 +22,11 @@ from gramclust.hierarchy import cut_tree, ward_linkage
 from gramclust.mixture import (
     VARIANCE_FLOOR,
     ClusterMemo,
-    MixtureParams,
     _Component,
     _hard_labels,
     _log_joint,
     _members,
     _mstep,
-    _params,
     _total_loglik,
 )
 from tests.conftest import assert_same_fit, two_cluster_spec
@@ -54,11 +52,9 @@ def classification_loglik(joint, labels) -> float:
 
 
 def fresh_mstep(x, labels, k):
-    """cem_fit's M-step on an empty memo: the MixtureParams it reports and
-    the component records."""
+    """cem_fit's M-step on an empty memo: its component records."""
     rows, keys = _members(labels, k)
-    comps = _mstep(x, rows, keys, {})
-    return _params(comps, rows, x.shape[0]), comps
+    return _mstep(x, rows, keys, {})
 
 
 def components(weights, means, variances):
@@ -98,74 +94,30 @@ class TestDensity:
         assert val == pytest.approx(-5.787839846583308, abs=1e-12)
 
 
-class TestMixtureParams:
-    def params(self):
-        return MixtureParams(
-            weights=np.array([0.25, 0.75]),
-            means=np.array([[0.0, 1.0], [2.0, 3.0]]),
-            covariances=np.ones((2, 2)),
-        )
-
-    @pytest.mark.parametrize("name, value, match", [
-        ("weights", [1.0], "K-vector"),
-        ("weights", [0.5, 0.6], "sum to 1"),
-        ("covariances", np.ones((2, 3)), r"\(K, D\)"),
-        ("covariances", np.full((2, 2), VARIANCE_FLOOR / 2), "floor"),
-    ], ids=["weights_shape", "weights_sum", "covariances_shape", "below_floor"])
-    def test_fields_checked(self, name, value, match):
-        with pytest.raises(ValueError, match=match):
-            replace(self.params(), **{name: value})
-
-    def test_fields_read_only(self):
-        params = self.params()
-        for name in ("weights", "means", "covariances"):
-            with pytest.raises(ValueError):
-                getattr(params, name)[0] = 0
-
-    def test_reorder_hand_built(self):
-        # component 1 of the init is the cluster without object 1; cem_fit
-        # reports it second, as the canonical labels do
-        rng = np.random.default_rng(3)
-        base = rng.normal(size=50)
-        first = [0, 2, 3, 6, 7]
-        rows = [(base if i in first else -base) + 0.3 * rng.normal(size=50) for i in range(8)]
-        g = gram(standardize_columns(FeatureMatrix(np.vstack(rows))))
-        fit = cem_fit(g, augment(g), ClusterAssignment(np.array([2, 1, 2, 2, 1, 1, 2, 2]), 2))
-        assert not fit.degenerate
-        np.testing.assert_array_equal(fit.labels.labels, [1, 2, 1, 1, 2, 2, 1, 1])
-        np.testing.assert_array_equal(fit.params.weights, [0.625, 0.375])
-        fresh, _ = fresh_mstep(augment_with_clusters(g, fit.labels).values, fit.labels.labels, 2)
-        for name in ("means", "covariances"):
-            assert getattr(fit.params, name).tobytes() == getattr(fresh, name).tobytes()
-
-
 class TestMstep:
     def test_single_cluster(self):
         m = make_m(np.random.default_rng(1).normal(size=(5, 6)))
-        params, _ = fresh_mstep(m.values, np.ones(5, dtype=np.int64), 1)
-        assert params.weights[0] == 1.0
-        np.testing.assert_allclose(params.means[0], m.values.mean(axis=0))
-        np.testing.assert_allclose(
-            params.covariances[0],
-            np.maximum(m.values.var(axis=0), VARIANCE_FLOOR),
-        )
+        [comp] = fresh_mstep(m.values, np.ones(5, dtype=np.int64), 1)
+        assert np.exp(comp.log_w) == 1.0
+        np.testing.assert_allclose(comp.mean, m.values.mean(axis=0))
+        np.testing.assert_allclose(comp.var, np.maximum(m.values.var(axis=0), VARIANCE_FLOOR))
 
     def test_identical_rows_hit_floor(self):
         row = np.array([1.0, -2.0, 3.0])
         x = np.vstack([row, row, row + 5.0, row + 5.0])
-        params, comps = fresh_mstep(x, np.array([1, 1, 2, 2]), 2)
-        assert np.all(params.covariances == VARIANCE_FLOOR)
-        np.testing.assert_array_equal(params.means[0], row)
+        comps = fresh_mstep(x, np.array([1, 1, 2, 2]), 2)
+        assert all(np.all(c.var == VARIANCE_FLOOR) for c in comps)
+        np.testing.assert_array_equal(comps[0].mean, row)
         assert all(c.floored for c in comps)
 
     def test_two_row_cluster(self):
         x = np.array([[0.0, 0.0], [2.0, 0.0], [9.0, 9.0]])
-        params, _ = fresh_mstep(x, np.array([1, 1, 2]), 2)
-        np.testing.assert_allclose(params.means[0], [1.0, 0.0])
+        comps = fresh_mstep(x, np.array([1, 1, 2]), 2)
+        np.testing.assert_allclose(comps[0].mean, [1.0, 0.0])
         # population denominator n_k: ((0-1)^2 + (2-1)^2)/2 = 1
-        assert params.covariances[0][0] == pytest.approx(1.0)
-        assert params.covariances[0][1] == VARIANCE_FLOOR
-        np.testing.assert_allclose(params.weights, [2 / 3, 1 / 3])
+        assert comps[0].var[0] == pytest.approx(1.0)
+        assert comps[0].var[1] == VARIANCE_FLOOR
+        np.testing.assert_allclose([np.exp(c.log_w) for c in comps], [2 / 3, 1 / 3])
 
     def test_empty_cluster_raises(self):
         m = make_m(np.random.default_rng(2).normal(size=(4, 5)))
@@ -176,7 +128,7 @@ class TestMstep:
 class TestEstep:
     def test_single_component(self):
         m = make_m(np.random.default_rng(4).normal(size=(5, 6)))
-        _, comps = fresh_mstep(m.values, np.ones(5, dtype=np.int64), 1)
+        comps = fresh_mstep(m.values, np.ones(5, dtype=np.int64), 1)
         out = _hard_labels(_log_joint(m.values, comps))
         np.testing.assert_array_equal(out, np.ones(5))
 
@@ -242,7 +194,7 @@ class TestCemFit:
         fit = cem_fit(g, m, init)
         assert fit.converged and fit.iterations == 1
         md = augment_with_clusters(g, fit.labels)
-        _, comps = fresh_mstep(md.values, fit.labels.labels, fit.labels.k)
+        comps = fresh_mstep(md.values, fit.labels.labels, fit.labels.k)
         assert fit.loglik == _total_loglik(_log_joint(md.values, comps))
 
     def test_truth_init_stable_one_sweep(self, separated_instance):
@@ -288,11 +240,7 @@ class TestCemFit:
         m = augment(g)
         d = ward_linkage(m.values)
         init = cut_tree(d, 2)
-        f1 = cem_fit(g, m, init)
-        f2 = cem_fit(g, m, init)
-        assert np.array_equal(f1.labels.labels, f2.labels.labels)
-        assert f1.loglik == f2.loglik
-        assert np.array_equal(f1.params.means, f2.params.means)
+        assert_same_fit(cem_fit(g, m, init), cem_fit(g, m, init))
 
     def test_init_label_permutation_invariance(self, separated_instance):
         _, fm, truth = separated_instance
@@ -301,40 +249,19 @@ class TestCemFit:
         m = augment(g)
         init = cut_tree(ward_linkage(m.values), 2)
         swapped = ClusterAssignment(3 - init.labels, 2)
-        f1 = cem_fit(g, m, init)
-        f2 = cem_fit(g, m, swapped)
-        assert np.array_equal(f1.labels.labels, f2.labels.labels)
-        # components are permuted back to the canonical label order
-        assert np.array_equal(f1.params.weights, f2.params.weights)
-        assert np.array_equal(f1.params.means, f2.params.means)
+        assert_same_fit(cem_fit(g, m, init), cem_fit(g, m, swapped))
 
-    def test_one_mixture_params_per_fit(self, monkeypatch, separated_instance):
-        # the loop works on components; only the reported fit of a fit
-        # that is not degenerate is a MixtureParams, and it is validated
-        built = []
-        post_init = MixtureParams.__post_init__
-
-        def counting(params):
-            built.append(params)
-            post_init(params)
-
-        monkeypatch.setattr(MixtureParams, "__post_init__", counting)
-        _, fm, truth = separated_instance
-        g = gram(standardize_columns(fm))
-        m = augment(g)
-        init_labels = ClusterAssignment.from_raw(truth.labels).labels.copy()
-        init_labels[0] = 3 - init_labels[0]
-        inits = [ClusterAssignment(init_labels, 2), cut_tree(ward_linkage(m.values), 3)]
-        memo = ClusterMemo()
-        for init in inits + inits:
-            built.clear()
-            fit = cem_fit(g, m, init, memo=memo)
-            assert [p is fit.params for p in built] == ([] if fit.degenerate else [True])
-        fit = cem_fit(g, m, inits[0])
-        assert fit.iterations > 1 and not fit.degenerate
-        built.clear()
-        fit = cem_fit(*degenerate_instance("emptied"))
-        assert fit.degenerate and built == []
+    def test_reorder_hand_built(self):
+        # component 1 of the init is the cluster without object 1; cem_fit
+        # labels it 2
+        rng = np.random.default_rng(3)
+        base = rng.normal(size=50)
+        first = [0, 2, 3, 6, 7]
+        rows = [(base if i in first else -base) + 0.3 * rng.normal(size=50) for i in range(8)]
+        g = gram(standardize_columns(FeatureMatrix(np.vstack(rows))))
+        fit = cem_fit(g, augment(g), ClusterAssignment(np.array([2, 1, 2, 2, 1, 1, 2, 2]), 2))
+        assert not fit.degenerate
+        np.testing.assert_array_equal(fit.labels.labels, [1, 2, 1, 1, 2, 2, 1, 1])
 
     def test_empty_estep_degenerate(self):
         fit = cem_fit(*degenerate_instance("emptied"))
@@ -358,12 +285,6 @@ class TestCemFit:
         fit = cem_fit(*degenerate_instance("floored"))
         assert fit.degenerate and fit.loglik == float("-inf")
         assert fit.degenerate_reason == "floored"
-
-    @pytest.mark.parametrize("reason", ["emptied", "small_cluster", "floored"])
-    def test_degenerate_fit_has_no_params(self, reason):
-        fit = cem_fit(*degenerate_instance(reason))
-        assert fit.degenerate_reason == reason
-        assert fit.params is None
 
     def test_small_cluster_decided_from_sizes(self, monkeypatch):
         # a final cluster of at most 2 members makes the fit degenerate
@@ -427,13 +348,11 @@ class TestCemFit:
         g, m, _ = prepared_instance(two_cluster_spec(1.0, 100, seed=1), 10)
         fit = cem_fit(g, m, ClusterAssignment(np.ones(10, dtype=np.int64), 1))
         assert fit.degenerate_reason is None and not fit.degenerate
-        unscored = {"params": None, "bic": float("-inf")}
+        unscored = {"bic": float("-inf")}
         assert replace(fit, degenerate_reason="floored", **unscored).degenerate
         for changes, match in [
             ({"degenerate_reason": "odd", **unscored}, "unknown degenerate_reason"),
-            ({"degenerate_reason": "floored", "params": None}, "bic = -inf"),
-            ({"degenerate_reason": "floored", "bic": float("-inf")}, "params is None"),
-            ({"params": None}, "params is None"),
+            ({"degenerate_reason": "floored"}, "bic = -inf"),
         ]:
             with pytest.raises(ValueError, match=match):
                 replace(fit, **changes)
@@ -447,7 +366,7 @@ class TestCemFit:
         labels = init.labels.copy()
         prev = None
         for _ in range(60):
-            _, comps = fresh_mstep(m.values, labels, 3)
+            comps = fresh_mstep(m.values, labels, 3)
             joint = _log_joint(m.values, comps)
             after_m = classification_loglik(joint, labels)
             if prev is not None and not any(c.floored for c in comps):
@@ -463,15 +382,10 @@ class TestCemFit:
     def test_mixture_loglik_matches_naive(self):
         spec = two_cluster_spec(1.0, 60, seed=13)
         g, m, truth = prepared_instance(spec, 8)
-        params, comps = fresh_mstep(m.values, truth.labels, truth.k)
-        dens = np.array([
-            [
-                component_density_log(r, params.means[j], params.covariances[j])
-                for j in range(2)
-            ]
-            for r in m.values
-        ])
-        naive = float(np.log((params.weights * np.exp(dens)).sum(axis=1)).sum())
+        comps = fresh_mstep(m.values, truth.labels, truth.k)
+        dens = np.array([[component_density_log(r, c.mean, c.var) for c in comps] for r in m.values])
+        weights = np.exp([c.log_w for c in comps])
+        naive = float(np.log((weights * np.exp(dens)).sum(axis=1)).sum())
         assert _total_loglik(_log_joint(m.values, comps)) == pytest.approx(naive, abs=1e-9)
 
     def test_log_joint_matches_per_row_density(self):
@@ -538,12 +452,12 @@ class TestKernelOracle:
             rng.shuffle(labels)
             first = np.flatnonzero(labels == 1)
             x[first] = x[first[0]]  # cluster 1 collapses onto the floor
-            params, comps = fresh_mstep(x, labels, k)
+            comps = fresh_mstep(x, labels, k)
             means, raw = reference_mstep(x, labels, k)
-            assert np.array_equal(params.means, means)
-            assert np.array_equal(params.covariances, np.maximum(raw, VARIANCE_FLOOR))
+            assert np.array_equal([c.mean for c in comps], means)
+            assert np.array_equal([c.var for c in comps], np.maximum(raw, VARIANCE_FLOOR))
             assert [c.floored for c in comps] == list((raw < VARIANCE_FLOOR).any(axis=1))
-            assert np.array_equal(params.weights, np.bincount(labels)[1:] / n)
+            assert [c.log_w for c in comps] == list(np.log(np.bincount(labels)[1:] / n))
 
     def test_mixture_loglik_matches_scipy_logsumexp(self):
         from scipy.special import logsumexp

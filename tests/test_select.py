@@ -204,12 +204,8 @@ class TestClusterOutputInvariants:
         return cluster_features(fm, kmax=4, preprocess="standardize").fits
 
     def _rescored(self, fits, bics):
-        # a fit rescored as finite borrows the first scored fit's params,
-        # which ClusterOutput never reads
-        params = next(f.params for f in fits if f.params is not None)
         return tuple(
-            replace(f, bic=b, params=params if np.isfinite(b) else None,
-                    degenerate_reason=None if np.isfinite(b) else "floored")
+            replace(f, bic=b, degenerate_reason=None if np.isfinite(b) else "floored")
             for f, b in zip(fits, bics)
         )
 
@@ -406,7 +402,7 @@ class Cell(NamedTuple):
     preprocess: str = "standardize"
 
 
-def antipodal(a: float, f: float, exact: int, p: int = 2000) -> Cell:
+def antipodal(a: float, f: float, exact: int, p: int = 2000, n: int = 200) -> Cell:
     """K0 = 2: means +a and -a on the first f P columns, 0 elsewhere, and
     unit noise. ``r`` is the variance of G's between-cluster row shift
     over that of its independent term, after column standardization; the
@@ -417,7 +413,7 @@ def antipodal(a: float, f: float, exact: int, p: int = 2000) -> Cell:
         means[0, : int(f * p)], means[1, : int(f * p)] = a, -a
         return MixtureSpec(k0=2, weights=[0.5, 0.5], means=means,
                            variances=np.ones((2, p)), seed=seed)
-    return Cell(spec, exact, r=a * a * f / (f + (1.0 - f) * (1.0 + a * a) ** 2))
+    return Cell(spec, exact, r=a * a * f / (f + (1.0 - f) * (1.0 + a * a) ** 2), n=n)
 
 
 def gaussian_spec(weights, a: float, f: float, p: int = 2000) -> Callable:
@@ -435,10 +431,11 @@ def gaussian_spec(weights, a: float, f: float, p: int = 2000) -> Callable:
 
 ALIZADEH_SIZES = (42, 9, 11)
 
-# The last cell is shaped like the Alizadeh-v2 lymphoma data (N = 62,
-# P = 2095, classes of 42, 9 and 11, log-normal values, sparse informative
-# genes); it stands in for criterion 8, whose data is not bundled, and
-# reproduces nothing of it.
+# The Alizadeh-shaped cell is shaped like the Alizadeh-v2 lymphoma data
+# (N = 62, P = 2095, classes of 42, 9 and 11, log-normal values, sparse
+# informative genes); it stands in for criterion 8, whose data is not
+# bundled, and reproduces nothing of it. The cells after it repeat five
+# N = 200 cells at N = 40 and N = 400: the over-split grows with N.
 FRONTIER = {
     "K0=2 a=6 f=0.05": antipodal(6.0, 0.05, exact=4),
     "K0=2 a=0.3 f=1": antipodal(0.3, 1.0, exact=4),
@@ -453,6 +450,16 @@ FRONTIER = {
     "Alizadeh-shaped a=1 f=0.1": Cell(
         gaussian_spec(np.array(ALIZADEH_SIZES) / 62, 1.0, 0.1, p=2095), exact=3, n=62,
         labels=np.repeat([1, 2, 3], ALIZADEH_SIZES), preprocess="paper"),
+    "K0=2 a=1 f=1 N=40": antipodal(1.0, 1.0, exact=3, n=40),
+    "K0=2 a=6 f=1 N=40": antipodal(6.0, 1.0, exact=4, n=40),
+    "K0=2 a=2 f=0.5 N=40": antipodal(2.0, 0.5, exact=4, n=40),
+    "K0=3 gaussian a=3 f=1 N=40": Cell(gaussian_spec([1 / 3] * 3, 3.0, 1.0), exact=4, n=40),
+    "K0=3 gaussian a=3 f=0.1 N=40": Cell(gaussian_spec([1 / 3] * 3, 3.0, 0.1), exact=4, n=40),
+    "K0=2 a=1 f=1 N=400": antipodal(1.0, 1.0, exact=0, n=400),
+    "K0=2 a=6 f=1 N=400": antipodal(6.0, 1.0, exact=0, n=400),
+    "K0=2 a=2 f=0.5 N=400": antipodal(2.0, 0.5, exact=0, n=400),
+    "K0=3 gaussian a=3 f=1 N=400": Cell(gaussian_spec([1 / 3] * 3, 3.0, 1.0), exact=0, n=400),
+    "K0=3 gaussian a=3 f=0.1 N=400": Cell(gaussian_spec([1 / 3] * 3, 3.0, 0.1), exact=4, n=400),
 }
 
 
@@ -471,6 +478,6 @@ def test_recovery_frontier():
             k_hats.append(out.k_hat)
             exact[name] += out.k_hat == truth.k and ami(truth, out.labels) == 1.0
         r_text = "-" if cell.r is None else f"{cell.r:.3g}"
-        rows.append(f"{r_text:>7}  {name:<26} k_hat {k_hats}  exact {exact[name]}/4")
+        rows.append(f"{r_text:>7}  {name:<30} k_hat {k_hats}  exact {exact[name]}/4")
     print("\n      r  cell" + "".join("\n" + row for row in rows))
     assert exact == {name: cell.exact for name, cell in FRONTIER.items()}
